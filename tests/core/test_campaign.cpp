@@ -43,6 +43,22 @@ TEST(Campaign, ProfilePopulatesEnumerationAndGolden) {
   EXPECT_GE(campaign.watchdog(), 150ms);
 }
 
+TEST(Campaign, ProfiledSiteFilesAreRepoRelative) {
+  // Call-site ids hash the site's file name, so an absolute path would make
+  // every trial seed depend on where the checkout lives.
+  const auto workload = apps::make_workload("EP");
+  Campaign campaign(*workload, small_options());
+  campaign.profile();
+  const auto& sites = campaign.profiler().rank(0).sites;
+  ASSERT_FALSE(sites.empty());
+  for (const auto& [id, site] : sites) {
+    const std::string file = site.file;
+    ASSERT_FALSE(file.empty());
+    EXPECT_NE(file.front(), '/') << file;
+    EXPECT_EQ(file.rfind("src/apps/", 0), 0u) << file;
+  }
+}
+
 TEST(Campaign, UsingBeforeProfileThrows) {
   const auto workload = apps::make_workload("LU");
   Campaign campaign(*workload, small_options());
