@@ -50,10 +50,10 @@ bool MemoryRegistry::covers(const void* ptr, std::size_t bytes) const noexcept {
 void MemoryRegistry::check(const void* ptr, std::size_t bytes,
                            const char* what) const {
   if (!covers(ptr, bytes)) {
+    // The address stays in the exception's own field; the message reaches
+    // journals and autopsies, which must not vary with heap layout.
     std::ostringstream msg;
-    msg << what << " of " << bytes << " bytes at "
-        << reinterpret_cast<std::uintptr_t>(ptr)
-        << " leaves every registered region";
+    msg << what << " of " << bytes << " bytes leaves every registered region";
     throw SimSegFault(reinterpret_cast<std::uintptr_t>(ptr), bytes, msg.str());
   }
 }

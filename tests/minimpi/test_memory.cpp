@@ -28,6 +28,29 @@ TEST(Memory, OverrunRaisesSimSegFault) {
   reg.remove(buf.data());
 }
 
+TEST(Memory, SegFaultMessageCarriesNoPointerValue) {
+  // The message lands in journals and autopsies, so it must be the same on
+  // every run; the faulting address is kept in its own field instead.
+  MemoryRegistry reg;
+  std::array<double, 16> buf{};
+  reg.add(buf.data(), sizeof(buf));
+  try {
+    reg.check(buf.data() + 8, 9 * sizeof(double), "recv buffer");
+    FAIL() << "overrun did not fault";
+  } catch (const SimSegFault& fault) {
+    const auto address = reinterpret_cast<std::uintptr_t>(buf.data() + 8);
+    EXPECT_EQ(fault.address(), address);
+    EXPECT_EQ(fault.length(), 9 * sizeof(double));
+    const std::string message = fault.what();
+    EXPECT_EQ(message.find(std::to_string(address)), std::string::npos)
+        << message;
+    EXPECT_EQ(message,
+              "SIGSEGV(sim): recv buffer of 72 bytes leaves every registered "
+              "region");
+  }
+  reg.remove(buf.data());
+}
+
 TEST(Memory, UnregisteredPointerFaults) {
   MemoryRegistry reg;
   int x = 0;
