@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <sstream>
 
 namespace fastfit::telemetry {
@@ -62,6 +63,12 @@ int trace_tid(Track track, int index) noexcept {
   return 1;
 }
 
+int trace_pid(const Event& event) noexcept {
+  return event.track == Track::Rank && event.world_lane >= 0
+             ? 2 + event.world_lane
+             : 1;
+}
+
 std::string to_chrome_trace(const std::vector<Event>& events,
                             const std::vector<ThreadInfo>& threads) {
   std::string out;
@@ -77,59 +84,84 @@ std::string to_chrome_trace(const std::vector<Event>& events,
   out += R"({"name":"process_name","ph":"M","pid":1,"tid":1,)"
          R"("args":{"name":"fastfit campaign"}})";
 
-  // One thread_name entry per lane: every explicitly bound thread, plus
-  // any lane that only appears in events (e.g. rank lanes recorded from
-  // short-lived threads that exited before binding was collected).
-  std::vector<ThreadInfo> lanes = threads;
-  const auto has_lane = [&](Track track, int index) {
+  // One thread_name entry per (pid, lane): every explicitly bound thread,
+  // plus any lane that only appears in events (rank lanes, which have no
+  // thread of their own).
+  struct Lane {
+    int pid;
+    ThreadInfo info;
+  };
+  std::vector<Lane> lanes;
+  for (const auto& thread : threads) lanes.push_back(Lane{1, thread});
+  const auto has_lane = [&](int pid, Track track, int index) {
     for (const auto& lane : lanes) {
-      if (lane.track == track && lane.index == index) return true;
+      if (lane.pid == pid && lane.info.track == track &&
+          lane.info.index == index) {
+        return true;
+      }
     }
     return false;
   };
   for (const auto& event : events) {
-    if (!has_lane(event.track, event.index)) {
+    const int pid = trace_pid(event);
+    if (!has_lane(pid, event.track, event.index)) {
       std::string label = to_string(event.track);
       if (event.index >= 0) label += '-' + std::to_string(event.index);
-      lanes.push_back(ThreadInfo{event.track, event.index, std::move(label)});
+      lanes.push_back(
+          Lane{pid, ThreadInfo{event.track, event.index, std::move(label)}});
     }
   }
-  if (!has_lane(Track::Main, -1)) {
-    lanes.push_back(ThreadInfo{Track::Main, -1, "campaign-main"});
+  if (!has_lane(1, Track::Main, -1)) {
+    lanes.push_back(Lane{1, ThreadInfo{Track::Main, -1, "campaign-main"}});
   }
+  std::set<int> world_pids;
   for (const auto& lane : lanes) {
-    const int tid = trace_tid(lane.track, lane.index);
+    if (lane.pid != 1) world_pids.insert(lane.pid);
+  }
+  for (const int pid : world_pids) {
     char buf[160];
     sep();
     std::snprintf(buf, sizeof(buf),
-                  R"({"name":"thread_name","ph":"M","pid":1,"tid":%d,)"
+                  R"({"name":"process_name","ph":"M","pid":%d,"tid":1,)"
+                  R"("args":{"name":"worlds on executor-%d"}})",
+                  pid, pid - 2);
+    out += buf;
+  }
+  for (const auto& lane : lanes) {
+    const int tid = trace_tid(lane.info.track, lane.info.index);
+    char buf[160];
+    sep();
+    std::snprintf(buf, sizeof(buf),
+                  R"({"name":"thread_name","ph":"M","pid":%d,"tid":%d,)"
                   R"("args":{"name":"%s"}})",
-                  tid, json_escape(lane.label).c_str());
+                  lane.pid, tid, json_escape(lane.info.label).c_str());
     out += buf;
     sep();
     std::snprintf(buf, sizeof(buf),
-                  R"({"name":"thread_sort_index","ph":"M","pid":1,)"
+                  R"({"name":"thread_sort_index","ph":"M","pid":%d,)"
                   R"("tid":%d,"args":{"sort_index":%d}})",
-                  tid, tid);
+                  lane.pid, tid, tid);
     out += buf;
   }
 
   for (const auto& event : events) {
+    const int pid = trace_pid(event);
     const int tid = trace_tid(event.track, event.index);
     char buf[192];
     sep();
     if (event.dur_us >= 0) {
       std::snprintf(buf, sizeof(buf),
-                    R"({"name":"%s","ph":"X","pid":1,"tid":%d,)"
+                    R"({"name":"%s","ph":"X","pid":%d,"tid":%d,)"
                     R"("ts":%)" PRId64 R"(,"dur":%)" PRId64,
-                    json_escape(event.name).c_str(), tid, event.start_us,
-                    event.dur_us);
+                    json_escape(event.name).c_str(), pid, tid,
+                    event.start_us, event.dur_us);
       out += buf;
     } else {
       std::snprintf(buf, sizeof(buf),
-                    R"({"name":"%s","ph":"i","s":"t","pid":1,"tid":%d,)"
+                    R"({"name":"%s","ph":"i","s":"t","pid":%d,"tid":%d,)"
                     R"("ts":%)" PRId64,
-                    json_escape(event.name).c_str(), tid, event.start_us);
+                    json_escape(event.name).c_str(), pid, tid,
+                    event.start_us);
       out += buf;
     }
     if (!event.args.empty()) {

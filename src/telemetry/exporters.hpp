@@ -16,7 +16,8 @@ namespace fastfit::telemetry {
 /// "X" complete events for spans, "i" instants, plus process_name /
 /// thread_name / thread_sort_index metadata so each track renders as a
 /// labelled Perfetto thread. Lanes map to stable synthetic tids (main=1,
-/// executor=100+i, rank=1000+i, monitor=3000+i, ml=4000, journal=4500).
+/// executor=100+i, rank=1000+i, monitor=3000+i, ml=4000, journal=4500)
+/// and pids (see trace_pid).
 std::string to_chrome_trace(const std::vector<Event>& events,
                             const std::vector<ThreadInfo>& threads);
 
@@ -38,5 +39,10 @@ bool write_text_file(const std::string& path, const std::string& text);
 
 /// Synthetic Chrome-trace tid for a lane, matching to_chrome_trace.
 int trace_tid(Track track, int index) noexcept;
+
+/// Chrome-trace pid of an event, matching to_chrome_trace: 1 for the
+/// campaign, 2+i for the rank lanes of worlds run on executor worker i, so
+/// concurrent worlds never share a (pid, tid) lane.
+int trace_pid(const Event& event) noexcept;
 
 }  // namespace fastfit::telemetry

@@ -109,7 +109,7 @@ struct Recorder::ThreadBuffer {
 
 /// Thread-local handle: registers the buffer on first use and retires it
 /// (moving any remaining events into the recorder) at thread exit, so
-/// short-lived rank threads do not accumulate dead buffers.
+/// short-lived threads do not accumulate dead buffers.
 struct Recorder::BufferHandle {
   std::shared_ptr<ThreadBuffer> buffer;
   ThreadInfo info;
@@ -331,6 +331,10 @@ ScopedSpan::ScopedSpan(const char* name, Track track, int index)
     : name_(name), track_(track), index_(index) {
   auto& rec = Recorder::instance();
   if (!rec.enabled()) return;
+  if (track == Track::Rank) {
+    const auto info = Recorder::thread_info();
+    if (info.track == Track::Executor) world_lane_ = info.index;
+  }
   start_us_ = rec.now_us();
   active_ = true;
 }
@@ -354,6 +358,7 @@ void ScopedSpan::finish() {
   event.track = track_;
   event.index = index_;
   event.args = std::move(args_);
+  event.world_lane = world_lane_;
   rec.record(std::move(event));
 }
 

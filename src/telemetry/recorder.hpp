@@ -40,13 +40,14 @@
 namespace fastfit::telemetry {
 
 /// Trace track an event belongs to. Tracks map to Perfetto threads: one
-/// per executor worker, one per simulated rank, one for the hang monitor
-/// and the live progress meter, one for the ML loop, one for journal I/O.
+/// per executor worker, one per simulated rank (per executor lane), one
+/// for hang verdicts and the live progress meter, one for the ML loop,
+/// one for journal I/O.
 enum class Track : std::uint8_t {
   Main = 0,  ///< the campaign driver thread
   Executor,  ///< TrialExecutor workers (index = worker ordinal)
   Rank,      ///< simulated MPI ranks (index = world rank)
-  Monitor,   ///< hang monitor verdicts, watchdog fires, progress meter
+  Monitor,   ///< deadlock verdicts, watchdog fires, progress meter
   MlLoop,    ///< injection ⇄ learning feedback loop
   Journal,   ///< durable trial journal fsync batches
 };
@@ -63,6 +64,10 @@ struct Event {
   Track track = Track::Main;
   int index = -1;             ///< per-track lane (worker id, rank, ...)
   std::string args;           ///< "key=value; ..." detail tag (may be empty)
+  /// Track::Rank only: executor worker whose world emitted the event, so
+  /// the ranks of concurrent worlds land on distinct lanes (-1 = a world
+  /// run outside the executor pool).
+  int world_lane = -1;
 };
 
 /// Monotonic counter (Prometheus counter semantics). Additions are
@@ -270,6 +275,8 @@ class ScopedSpan {
   /// Span on the calling thread's bound lane.
   explicit ScopedSpan(const char* name);
   /// Span on an explicit lane (e.g. Track::MlLoop from the main thread).
+  /// A Track::Rank span also records the calling executor worker as its
+  /// Event::world_lane.
   ScopedSpan(const char* name, Track track, int index);
   ~ScopedSpan() { finish(); }
 
@@ -289,6 +296,7 @@ class ScopedSpan {
   std::int64_t start_us_ = 0;
   Track track_ = Track::Main;
   int index_ = -1;
+  int world_lane_ = -1;
   std::string args_;
   bool active_ = false;
 };

@@ -15,6 +15,7 @@
 #include "apps/registry.hpp"
 #include "core/campaign.hpp"
 #include "inject/outcome.hpp"
+#include "telemetry/exporters.hpp"
 #include "telemetry/recorder.hpp"
 
 namespace fastfit::core {
@@ -60,13 +61,15 @@ TEST_F(CampaignTelemetryTest, ExecutorSpansNestPerLaneAndRankBuffersFlush) {
   const auto events = rec.drain_events();
   ASSERT_FALSE(events.empty());
 
-  // Tally spans per (track, lane) and check stack discipline: spans on
-  // one lane are either disjoint or properly nested. queue-wait spans
-  // are excluded — they start at submit time, while the lane's previous
-  // trial may still be executing.
+  // Tally spans per exported trace lane (pid, tid) — the identity a trace
+  // viewer shows — and check stack discipline: spans on one lane are
+  // either disjoint or properly nested. queue-wait spans are excluded —
+  // they start at submit time, while the lane's previous trial may still
+  // be executing.
   std::map<std::pair<int, int>, std::vector<const tel::Event*>> lanes;
   int trial_spans = 0, world_runs = 0, classifies = 0, queue_waits = 0;
   int rank_spans = 0;
+  bool executor_lane_seen = false;
   for (const auto& event : events) {
     const std::string_view name(event.name);
     if (name == "trial") ++trial_spans;
@@ -74,30 +77,29 @@ TEST_F(CampaignTelemetryTest, ExecutorSpansNestPerLaneAndRankBuffersFlush) {
     if (name == "classify") ++classifies;
     if (name == "queue-wait") ++queue_waits;
     if (name == "rank-main") {
-      ++rank_spans;
       EXPECT_EQ(event.track, tel::Track::Rank);
+      // Injected worlds name their pool worker; the golden and profiling
+      // worlds ran on the main thread.
+      EXPECT_LT(event.world_lane, 2);
+      if (event.world_lane >= 0) ++rank_spans;
+    }
+    // Trial spans land on executor lanes (pool of 2).
+    if (event.track == tel::Track::Executor) {
+      executor_lane_seen = true;
+      EXPECT_GE(event.index, 0);
+      EXPECT_LT(event.index, 2);
     }
     if (event.dur_us < 0 || name == "queue-wait") continue;
-    lanes[{static_cast<int>(event.track), event.index}].push_back(&event);
+    lanes[{tel::trace_pid(event), tel::trace_tid(event.track, event.index)}]
+        .push_back(&event);
   }
   // 3 points x 2 trials, plus possible watchdog confirmations.
   EXPECT_GE(trial_spans, 6);
   EXPECT_GE(world_runs, 6);
   EXPECT_EQ(classifies, world_runs);  // every injected run classifies
   EXPECT_GE(queue_waits, 6);
-  // 4 ranks per world, every world's rank threads exited before the
-  // drain: their spans arrived via the retired-buffer path.
+  // 4 ranks per injected world, each recording one rank-main span.
   EXPECT_GE(rank_spans, 6 * 4);
-
-  // Trial spans land on executor lanes (pool of 2).
-  bool executor_lane_seen = false;
-  for (const auto& [lane, spans] : lanes) {
-    if (lane.first == static_cast<int>(tel::Track::Executor)) {
-      executor_lane_seen = true;
-      EXPECT_GE(lane.second, 0);
-      EXPECT_LT(lane.second, 2);
-    }
-  }
   EXPECT_TRUE(executor_lane_seen);
 
   for (const auto& [lane, spans] : lanes) {
@@ -111,7 +113,7 @@ TEST_F(CampaignTelemetryTest, ExecutorSpansNestPerLaneAndRankBuffersFlush) {
         EXPECT_FALSE(partial_overlap)
             << spans[a]->name << " [" << a0 << "," << a1 << ") and "
             << spans[b]->name << " [" << b0 << "," << b1
-            << ") partially overlap on track " << lane.first << " lane "
+            << ") partially overlap on pid " << lane.first << " tid "
             << lane.second;
       }
     }

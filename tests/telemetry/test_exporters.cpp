@@ -56,6 +56,53 @@ TEST(TraceTid, LanesMapToStableDisjointTids) {
   EXPECT_EQ(trace_tid(Track::Journal, 0), 4500);
 }
 
+TEST(TracePid, RankLanesOfEachExecutorWorkerGetTheirOwnProcess) {
+  auto rank = make_span("rank-main", 0, 10, Track::Rank, 3);
+  EXPECT_EQ(trace_pid(rank), 1);  // a world run outside the pool
+  rank.world_lane = 0;
+  EXPECT_EQ(trace_pid(rank), 2);
+  rank.world_lane = 5;
+  EXPECT_EQ(trace_pid(rank), 7);
+  auto trial = make_span("trial", 0, 10, Track::Executor, 5);
+  trial.world_lane = 5;  // only rank events move to a world process
+  EXPECT_EQ(trace_pid(trial), 1);
+}
+
+TEST_F(ExportersTest, ConcurrentWorldsRenderRankLanesInSeparateProcesses) {
+  // The same rank of two worlds that overlap in time on two executor
+  // workers: each must get its own named (pid, tid) lane.
+  std::vector<Event> events;
+  for (int lane = 0; lane < 2; ++lane) {
+    events.push_back(make_span("rank-main", 10 + lane * 5, 40, Track::Rank, 2));
+    events.back().world_lane = lane;
+  }
+  const std::string trace = to_chrome_trace(events, {});
+  bool ok = false;
+  std::string error;
+  const Node root = testjson::parse_or_die(trace, &ok, &error);
+  ASSERT_TRUE(ok) << error;
+  std::set<std::pair<int, int>> named, used;
+  std::set<int> named_processes;
+  for (const auto& item : root.at("traceEvents").array) {
+    const int pid = static_cast<int>(item.at("pid").number);
+    const int tid = static_cast<int>(item.at("tid").number);
+    if (item.at("ph").string == "M") {
+      if (item.at("name").string == "thread_name") named.insert({pid, tid});
+      if (item.at("name").string == "process_name") {
+        named_processes.insert(pid);
+      }
+      continue;
+    }
+    used.insert({pid, tid});
+  }
+  const std::set<std::pair<int, int>> want{{2, 1002}, {3, 1002}};
+  EXPECT_EQ(used, want);
+  for (const auto& lane : used) {
+    EXPECT_TRUE(named.count(lane)) << lane.first << "/" << lane.second;
+    EXPECT_TRUE(named_processes.count(lane.first)) << lane.first;
+  }
+}
+
 TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
@@ -216,7 +263,7 @@ TEST_F(ExportersTest, PrometheusExpositionIsWellFormed) {
   rec.counter("fastfit_trials_total", "Trial outcomes", "outcome=\"SEG_FAULT\"")
       .add(2);
   rec.counter("fastfit_journal_flushes_total", "Journal flushes").add();
-  rec.gauge("fastfit_leaked_threads", "Leaked rank threads").set(1);
+  rec.gauge("fastfit_snapshot_cache_bytes", "Snapshot cache bytes").set(1);
   auto& lat = rec.latency("fastfit_trial_seconds", "Trial latency");
   lat.observe_us(100.0);
   lat.observe_us(2e6);
@@ -236,7 +283,7 @@ TEST_F(ExportersTest, PrometheusExpositionIsWellFormed) {
             std::string::npos);
   EXPECT_NE(text.find("fastfit_trials_total{outcome=\"SEG_FAULT\"} 2"),
             std::string::npos);
-  EXPECT_NE(text.find("fastfit_leaked_threads 1"), std::string::npos);
+  EXPECT_NE(text.find("fastfit_snapshot_cache_bytes 1"), std::string::npos);
   // Histogram: le buckets, +Inf, _sum, _count.
   EXPECT_NE(text.find("fastfit_trial_seconds_bucket{le=\""),
             std::string::npos);
@@ -251,7 +298,7 @@ TEST_F(ExportersTest, PrometheusExpositionIsWellFormed) {
 TEST_F(ExportersTest, MetricsJsonParsesAndMatchesRegistry) {
   auto& rec = Recorder::instance();
   rec.counter("fastfit_trials_total", "h", "outcome=\"WRONG_ANS\"").add(7);
-  rec.gauge("fastfit_leaked_threads", "h").set(2);
+  rec.gauge("fastfit_snapshot_cache_bytes", "h").set(2);
   rec.latency("fastfit_trial_seconds", "h").observe_us(50.0);
 
   const std::string text = to_metrics_json(rec.metrics());

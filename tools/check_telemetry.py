@@ -4,7 +4,8 @@
 Checks three things (any subset, depending on the flags given):
 
   --trace trace.json      The Chrome trace-event document parses, every
-                          event lane has thread_name metadata, spans have
+                          event lane (pid, tid) has thread_name metadata,
+                          spans have
                           ts/dur, and at least --min-tracks distinct track
                           types (main/executor/rank/monitor/ml/journal)
                           are present.
@@ -64,19 +65,19 @@ def check_trace(path, min_tracks):
     if not isinstance(events, list) or not events:
         fail(f"{path}: traceEvents missing or empty")
 
-    named_tids = set()
-    event_tids = set()
+    named_lanes = set()
+    event_lanes = set()
     spans = instants = 0
     for ev in events:
         ph = ev.get("ph")
-        tid = ev.get("tid")
+        lane = (ev.get("pid"), ev.get("tid"))
         if ph == "M":
             if ev.get("name") == "thread_name":
                 if not ev.get("args", {}).get("name"):
                     fail(f"{path}: thread_name metadata without a name: {ev}")
-                named_tids.add(tid)
+                named_lanes.add(lane)
             continue
-        event_tids.add(tid)
+        event_lanes.add(lane)
         if ph == "X":
             spans += 1
             if not isinstance(ev.get("ts"), (int, float)):
@@ -90,10 +91,10 @@ def check_trace(path, min_tracks):
         else:
             fail(f"{path}: unexpected phase {ph!r}: {ev}")
 
-    unnamed = event_tids - named_tids
+    unnamed = event_lanes - named_lanes
     if unnamed:
         fail(f"{path}: lanes without thread_name metadata: {sorted(unnamed)}")
-    tracks = {track_of(tid) for tid in event_tids}
+    tracks = {track_of(tid) for _, tid in event_lanes}
     if len(tracks) < min_tracks:
         fail(
             f"{path}: only {len(tracks)} track types {sorted(tracks)}, "
@@ -103,7 +104,7 @@ def check_trace(path, min_tracks):
         fail(f"{path}: no complete ('X') span events")
     print(
         f"check_telemetry: trace OK: {spans} spans, {instants} instants, "
-        f"{len(event_tids)} lanes, tracks: {', '.join(sorted(tracks))}"
+        f"{len(event_lanes)} lanes, tracks: {', '.join(sorted(tracks))}"
     )
 
 
