@@ -312,10 +312,11 @@ ParsedFragment parse_fragment(const std::string& text) {
       saw_golden = true;
     } else if (tag == "health") {
       auto& h = out.health;
+      std::uint64_t retired[2] = {0, 0};  // thread-leak counters, see writer
       fields >> h.total_retries >> h.quarantined_points >>
           h.watchdog_confirmations >> h.watchdog_recalibrations >>
-          h.replayed_trials >> h.deterministic_deadlocks >>
-          h.quarantined_rank_threads >> h.leaked_rank_threads;
+          h.replayed_trials >> h.deterministic_deadlocks >> retired[0] >>
+          retired[1];
       if (!fields) throw ConfigError("fragment: bad health line: " + line);
       saw_health = true;
     } else if (tag == "point") {
@@ -396,8 +397,9 @@ std::string to_shard_fragment(const StudyResult& result) {
   const auto& h = result.health;
   out << "health " << h.total_retries << ' ' << h.quarantined_points << ' '
       << h.watchdog_confirmations << ' ' << h.watchdog_recalibrations << ' '
-      << h.replayed_trials << ' ' << h.deterministic_deadlocks << ' '
-      << h.quarantined_rank_threads << ' ' << h.leaked_rank_threads << '\n';
+      << h.replayed_trials << ' ' << h.deterministic_deadlocks
+      // Two retired rank-thread leak counters, always 0, keep the v1 line.
+      << " 0 0\n";
   for (std::size_t i = 0; i < result.measured.size(); ++i) {
     const auto& r = result.measured[i];
     const auto& p = r.point;
@@ -487,9 +489,6 @@ StudyResult merge_fragments(const std::vector<std::string>& fragments) {
     merged.health.replayed_trials += fragment.health.replayed_trials;
     merged.health.deterministic_deadlocks +=
         fragment.health.deterministic_deadlocks;
-    merged.health.quarantined_rank_threads +=
-        fragment.health.quarantined_rank_threads;
-    merged.health.leaked_rank_threads += fragment.health.leaked_rank_threads;
 
     for (auto& [ordinal, result] : fragment.points) {
       if (ordinal >= merged.stats.after_context) {

@@ -177,8 +177,6 @@ std::string render_health(const CampaignHealth& health) {
   out << "Campaign health: ";
   if (health.clean()) {
     out << "clean";
-  } else if (health.leaked_rank_threads > 0) {
-    out << "completed with leaked rank threads";
   } else {
     out << "completed with quarantined points";
   }
@@ -205,11 +203,6 @@ std::string render_health(const CampaignHealth& health) {
   if (health.deterministic_deadlocks > 0) {
     out << "  deterministic deadlocks:      " << health.deterministic_deadlocks
         << '\n';
-  }
-  if (health.quarantined_rank_threads > 0) {
-    out << "  rank threads quarantined:     "
-        << health.quarantined_rank_threads << " ("
-        << health.leaked_rank_threads << " still running)\n";
   }
   if (health.worker_deaths > 0) {
     out << "  worker signal deaths:         " << health.worker_deaths

@@ -8,7 +8,7 @@
 // re-confirmation, and the final deterministic aggregation in
 // (point, trial) order. It is engine-agnostic — trials execute through
 // the narrow TrialRunner interface (implemented by Campaign, which
-// routes each run_guarded call either to in-process rank threads or to
+// routes each run_guarded call either to an in-process world or to
 // the fork-server worker pool, per the --isolation knob; the scheduler
 // never knows which backend ran a trial) — and
 // result-agnostic: every recorded outcome fans out to OutcomeSink
@@ -40,7 +40,7 @@ class TrialRunner {
   struct Attempt {
     bool ok = false;  ///< false = retries exhausted, quarantine the point
     inject::Outcome outcome{};
-    bool deterministic_hang = false;  ///< monitor-proven deadlock
+    bool deterministic_hang = false;  ///< structurally proven deadlock
     std::string autopsy;              ///< world autopsy (non-SUCCESS runs)
     std::uint32_t retries = 0;        ///< internal-error retries consumed
     std::string error;                ///< last internal error, attributed
@@ -156,7 +156,7 @@ class TelemetrySink final : public OutcomeSink {
 /// engine folds this into its campaign-wide health counters.
 struct BatchStats {
   std::uint64_t replayed = 0;                ///< trials served from journal
-  std::uint64_t deterministic_deadlocks = 0; ///< monitor-proven INF_LOOPs
+  std::uint64_t deterministic_deadlocks = 0; ///< structurally proven INF_LOOPs
   std::uint64_t confirmations = 0;           ///< escalated re-confirmations
   std::uint64_t recalibrations = 0;          ///< storm recalibrations
   std::uint64_t quarantined_points = 0;      ///< points given up on

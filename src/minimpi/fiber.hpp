@@ -1,7 +1,6 @@
 #pragma once
 
-// Stackful rank fibers: the event-driven world engine's execution
-// contexts.
+// Stackful rank fibers: the world engine's execution contexts.
 //
 // A FiberScheduler multiplexes N resumable rank contexts onto the ONE
 // OS thread that calls run() — a World under the fiber engine therefore
@@ -10,17 +9,14 @@
 // ranks each trial simulates. Fibers are resumable contexts on
 // heap-allocated stacks; a context switch is a user-space register swap
 // with no kernel involvement (fastfit_ctx_swap on x86-64, ucontext
-// elsewhere), which is what retires the thread-per-rank substrate's
-// spawn/join and scheduling overhead (ISSUE: negative lane scaling at
-// pool 2-4).
+// elsewhere), so a world pays no OS-thread spawn, join or scheduling
+// cost.
 //
 // Scheduling is cooperative and deterministic: the ready queue is FIFO,
 // seeded in rank order, and every yield point is a mailbox rendezvous
 // (minimpi/mailbox.cpp) — rank code never observes preemption. Because
 // MiniMPI matching is exact on (source, tag), the schedule cannot change
-// any rank's observable execution, which is why the fiber and thread
-// engines produce byte-identical trial results (enforced by the engine
-// parity suite).
+// any rank's observable execution.
 //
 // Wakes (message delivery, poison, revocation, kill_rank) may arrive
 // from other OS threads (tests, the process-wide teardown paths), so
@@ -104,9 +100,7 @@ class FiberScheduler {
            const std::function<void()>& on_idle);
 
   /// The scheduler driving the calling thread, or nullptr when the
-  /// caller is a plain thread (the thread engine / tests poking at
-  /// mailboxes directly). Mailbox::receive uses this to pick the yield
-  /// path over the condition-variable path.
+  /// caller is a plain thread. Mailbox::receive parks on it.
   static FiberScheduler* active() noexcept;
 
   /// Index of the fiber running on this scheduler, -1 between fibers.

@@ -6,14 +6,13 @@
 // mailboxes (binomial trees, recursive doubling, pairwise exchange), so a
 // corrupted parameter that makes ranks disagree about the communication
 // schedule — e.g. a flipped `root` — produces a genuine unmatched
-// send/recv. The receive path waits with a deadline; when the deadline
-// passes the rank raises SimTimeout (the job "hangs", paper: INF_LOOP),
-// and when another rank has already failed, the world poison wakes every
-// waiter with WorldAborted so trials finish promptly.
+// send/recv. A receive parks the calling rank fiber until its message
+// arrives; past the deadline the rank raises SimTimeout (the job "hangs",
+// paper: INF_LOOP), and when another rank has already failed, the world
+// poison wakes every waiter with WorldAborted so trials finish promptly.
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -32,45 +31,27 @@ struct Message {
   std::vector<std::byte> payload;
 };
 
-/// Shared flag that tears down a world once any rank fails.
+/// Shared flags that tear down a world once any rank fails. Setting one
+/// does not wake anybody; the world follows it with Mailbox::wake() on
+/// every rank.
 struct PoisonState {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool poisoned = false;
-  /// Lock-free mirror of `poisoned` for hot paths (snapshot replay polls
-  /// it per op) that must not contend on the teardown mutex.
   std::atomic<bool> flag{false};
   /// ULFM-style revocation: set (instead of poison) when a rank fail-stops
   /// with repair enabled. Waiters on pre-death communicators observe it
   /// and raise RankRevoked; post-repair communicators are exempt.
-  bool revoked = false;
   std::atomic<bool> revoked_flag{false};
 
-  void poison() {
-    {
-      std::lock_guard lock(mutex);
-      poisoned = true;
-    }
-    flag.store(true, std::memory_order_release);
-    cv.notify_all();
-  }
-
-  void revoke() {
-    {
-      std::lock_guard lock(mutex);
-      revoked = true;
-    }
-    revoked_flag.store(true, std::memory_order_release);
-    cv.notify_all();
-  }
+  void poison() { flag.store(true, std::memory_order_release); }
+  void revoke() { revoked_flag.store(true, std::memory_order_release); }
 };
 
-/// Unbounded MPSC mailbox with (source, tag) matching and deadline waits.
+/// Unbounded mailbox with (source, tag) matching and deadline waits.
 class Mailbox {
  public:
   explicit Mailbox(PoisonState& poison) : poison_(&poison) {}
 
-  /// Enqueues a message (called by the sending rank's thread).
+  /// Enqueues a message and wakes the owning fiber (called by the sending
+  /// rank, or by the world when it pre-seeds a replayed cut).
   void deliver(Message message);
 
   /// Blocks until a message matching (source, tag) is available, the
@@ -81,10 +62,9 @@ class Mailbox {
   /// revocable=false and keep waiting). A doomed owner (World::kill_rank
   /// or a fail-stop fault on this rank) raises RankKilled instead.
   ///
-  /// On a thread driven by a FiberScheduler the wait is a cooperative
-  /// yield instead of a condition-variable park: the rendezvous is the
-  /// fiber engine's yield point. Exception ordering and messages are
-  /// identical on both paths — the engine parity suite depends on it.
+  /// Must be called from a fiber of the FiberScheduler installed with
+  /// set_fiber_waker: the wait yields that fiber, and the rendezvous is
+  /// the scheduler's only yield point.
   Message receive(int source, std::uint64_t tag,
                   std::chrono::steady_clock::time_point deadline,
                   bool revocable = true);
@@ -101,36 +81,25 @@ class Mailbox {
   std::size_t pending() const;
 
   /// Whether a message matching (source, tag) is queued right now. Used
-  /// by the hang monitor: a blocked rank whose awaited message is already
+  /// by the idle scan: a blocked rank whose awaited message is already
   /// here is about to make progress, so the world is not deadlocked.
   bool has_match(int source, std::uint64_t tag) const;
 
-  /// Wakes any waiter so it can observe the poison flag. Called by the
-  /// world during teardown. Takes the mailbox mutex before notifying so
-  /// the wake cannot slip between a waiter's poison check and its entry
-  /// into the timed wait (that window would otherwise swallow the only
-  /// notification and leave the waiter parked for the full watchdog).
-  /// Under the fiber engine the same call marks the owning fiber ready.
+  /// Marks the owning fiber ready so a parked receive() rechecks the
+  /// poison, revocation and doom flags. Called by the world during
+  /// teardown and by kill_rank. A wake that races the fiber's entry into
+  /// its wait is latched by the scheduler, never lost.
   void wake();
 
-  /// Fiber-engine wake routing: deliveries and wakes mark `owner_rank`'s
-  /// fiber ready on `sched` instead of (only) notifying the condition
-  /// variable. Installed by the world before the scheduler starts and
+  /// Wake routing: deliveries and wakes mark `owner_rank`'s fiber ready on
+  /// `sched`. Installed by the world before the scheduler starts and
   /// cleared after it drains; guarded by the mailbox mutex so a late
   /// cross-thread wake (a test's kill_rank racing world teardown) can
   /// never observe a dangling scheduler.
   void set_fiber_waker(FiberScheduler* sched, int owner_rank);
 
  private:
-  /// The cooperative twin of the condition-variable wait loop in
-  /// receive(): identical match/doom/poison/revoke/deadline ordering and
-  /// exception text, but parks by yielding the calling fiber.
-  Message receive_fiber(int source, std::uint64_t tag,
-                        std::chrono::steady_clock::time_point deadline,
-                        bool revocable, FiberScheduler& sched);
-
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::deque<Message> queue_;
   PoisonState* poison_;
   int doom_rank_ = -1;

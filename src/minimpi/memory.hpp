@@ -21,8 +21,8 @@ namespace fastfit::mpi {
 
 /// Per-rank registry of valid buffer regions.
 ///
-/// Thread-safety: registration/removal and checking lock a mutex; the
-/// owning rank thread and the trial teardown path may race.
+/// Thread-safety: registration/removal and checking lock a mutex, so a
+/// test or tool may inspect a registry from another thread.
 class MemoryRegistry {
  public:
   /// Registers [ptr, ptr+bytes). Overlapping registrations are rejected.

@@ -237,9 +237,9 @@ int Mpi::size(Comm comm) const {
 }
 
 void Mpi::check_deadline() {
-  // The heartbeat tells the hang monitor this rank is alive in a compute
-  // loop: genuine livelock therefore never triggers a deterministic
-  // verdict and falls through to the watchdog below.
+  // The heartbeat records that this rank is alive in a compute loop;
+  // genuine livelock never reaches quiescence, so it falls through to the
+  // watchdog below.
   world_->progress().bump(world_rank_);
   check_doom();
   if (world_->poisoned()) {
@@ -314,9 +314,8 @@ void Mpi::send_internal(Comm comm, int dest, std::uint64_t tag,
         return;
     }
   }
-  // Heartbeat strictly before the deliver: the hang monitor may only
-  // declare a deadlock on two identical snapshots, so a send that is
-  // about to land always invalidates the snapshot it raced with.
+  // Heartbeat strictly before the deliver, so every send shows as
+  // forward progress in the progress table and its autopsies.
   world_->progress().bump(world_rank_);
   world_->mailbox(dest_world).deliver(std::move(message));
   // A message held by an earlier MessageDelay fault is released one send
@@ -344,8 +343,8 @@ std::vector<std::byte> Mpi::recv_internal(Comm comm, int source,
   const bool revocable =
       !world_->poison().revoked_flag.load(std::memory_order_acquire) ||
       world_->comm_revoked(comm);
-  // Publish the wait so the monitor can check whether the awaited
-  // (source, tag) can still arrive; restore Computing however we leave.
+  // Publish the wait so the idle scan can check whether the awaited
+  // (source, tag) is queued; restore Computing however we leave.
   world_->progress().publish_wait(
       world_rank_, source, members[static_cast<std::size_t>(source)], tag);
   WaitScope scope(world_->progress(), world_rank_);

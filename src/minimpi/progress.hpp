@@ -7,12 +7,11 @@
 // (collective entry, message send, compute-loop deadline check, wait
 // exit) and (b) a pending-operation signature — op name, communicator,
 // sequence number, root, awaited peer and transport tag, shadow-stack id
-// — whenever it enters a mailbox rendezvous. A monitor thread can then
-// decide *structurally* that a world is deadlocked: all live ranks
-// blocked, no blocked rank's awaited message queued, and two snapshots a
-// poll apart identical. Because a rank bumps its heartbeat before every
-// deliver, a stable all-blocked snapshot proves no message can ever
-// arrive — the verdict is deterministic, not a timeout heuristic.
+// — whenever it enters a mailbox rendezvous. When the fiber scheduler
+// runs out of runnable ranks and no blocked rank's awaited message is
+// queued, this table is the deadlock verdict's evidence: sends are
+// synchronous on the scheduler's thread, so no message can ever arrive —
+// the verdict is deterministic, not a timeout heuristic.
 //
 // The same table is snapshotted into a WorldAutopsy at first-event time,
 // so every non-SUCCESS trial carries per-rank forensics (phase, last
@@ -33,7 +32,7 @@ enum class RankPhase : std::uint8_t {
   Blocked,    ///< parked in a mailbox wait for a specific (source, tag)
   Exited,     ///< rank main returned or unwound
   Dead,       ///< fail-stop fault killed the rank (it will never publish
-              ///< again); peers and the monitor treat it like Exited but
+              ///< again); peers and the verdict treat it like Exited but
               ///< the autopsy distinguishes death from clean exit
 };
 
@@ -56,7 +55,7 @@ struct PendingSig {
   std::string describe() const;
 };
 
-/// Monitor-side view of one rank.
+/// Verdict-side view of one rank.
 struct RankSnapshot {
   RankPhase phase = RankPhase::Computing;
   std::uint64_t heartbeat = 0;
@@ -65,7 +64,7 @@ struct RankSnapshot {
 };
 
 /// The table itself: one slot per rank, each guarded by its own mutex so
-/// publishes are rank-local and the monitor reads a consistent slot.
+/// publishes are rank-local and readers see a consistent slot.
 class ProgressTable {
  public:
   explicit ProgressTable(int nranks);
@@ -86,8 +85,8 @@ class ProgressTable {
   /// The wait ended (matched, timed out, or aborted): back to Computing.
   void publish_resume(int rank);
 
-  /// Rank main returned or unwound. Never downgrades a Dead slot: the
-  /// thread of a killed rank still unwinds through the normal exit path,
+  /// Rank main returned or unwound. Never downgrades a Dead slot: a
+  /// killed rank still unwinds through the normal exit path,
   /// and the death verdict must survive it.
   void publish_exited(int rank);
 
@@ -120,7 +119,7 @@ struct RankAutopsy {
 
 /// Forensic snapshot of the whole world, captured when the initiating
 /// event is recorded (poison time). `deterministic` marks a hang that was
-/// proven structurally by the monitor rather than inferred from the
+/// proven structurally at quiescence rather than inferred from the
 /// watchdog deadline.
 struct WorldAutopsy {
   bool deterministic = false;

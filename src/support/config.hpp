@@ -61,9 +61,6 @@ struct InjectionConfig {
   /// from pending-operation signatures instead of waiting out the watchdog
   /// (FASTFIT_HANG_DETECTION); 1 = on (default), 0 = timeout-only.
   bool hang_detection = true;
-  /// Campaign-wide budget of rank threads that may survive teardown into
-  /// quarantine before the run fails (FASTFIT_MAX_LEAKED_THREADS).
-  std::uint64_t max_leaked_threads = 8;
   /// Chrome trace-event JSON output path (FASTFIT_TRACE); empty = no
   /// trace. A non-empty path enables the telemetry recorder.
   std::string trace_out;
@@ -96,17 +93,10 @@ struct InjectionConfig {
   /// classifies RANK_DEAD.
   bool repair = false;
   /// Trial execution backend (FASTFIT_ISOLATION): "thread" (default,
-  /// in-process rank threads) or "process" (fork-server workers; real
+  /// in-process on the executor's lane threads) or "process" (fork-server workers; real
   /// signals become classifiable as SEG_FAULT). Kept as validated text
   /// here; the mode enum lives in core/procpool.hpp.
   std::string isolation = "thread";
-  /// MiniMPI world engine (FASTFIT_WORLD_ENGINE): "fibers" (default,
-  /// resumable rank fibers multiplexed on the trial's thread) or
-  /// "threads" (one OS thread per rank, the pre-fiber substrate).
-  /// Reports, journals, and counters are byte-identical across engines;
-  /// only the scheduling substrate changes. Kept as validated text here;
-  /// the engine enum lives in minimpi/world.hpp.
-  std::string world_engine = "fibers";
   /// Prefix-replay world snapshots (FASTFIT_SNAPSHOTS): "on", "off", or
   /// "auto" (default). Kept as validated text here; the mode enum lives
   /// in core/snapshot_cache.hpp.

@@ -5,10 +5,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <fstream>
-#include <iterator>
-#include <map>
 #include <span>
 #include <string>
 #include <thread>
@@ -17,9 +13,6 @@
 #include "apps/registry.hpp"
 #include "apps/workload.hpp"
 #include "core/campaign.hpp"
-#include "telemetry/recorder.hpp"
-
-namespace tel = fastfit::telemetry;
 
 namespace fastfit::core {
 namespace {
@@ -229,98 +222,9 @@ TEST(Campaign, GoldenDigestStableAcrossCampaigns) {
   EXPECT_EQ(c1.golden_digest(), c2.golden_digest());
 }
 
-// --- engine parity: fibers vs thread-per-rank must be invisible ---------
-
-struct EngineRun {
-  std::vector<PointResult> results;
-  std::string journal_bytes;
-  std::map<std::string, std::uint64_t> trial_counters;
-};
-
-// Drops the forensic autopsy field ("a") from a journal line. Autopsies
-// embed raw buffer addresses (ASLR) and a mid-flight census of the other
-// ranks' phases, neither of which reproduces between two runs even on
-// the same engine; everything the resume path actually reads — the
-// (point, trial, outcome) triple, labels, quarantines, the model field —
-// must match byte for byte across engines.
-std::string strip_autopsies(const std::string& journal) {
-  std::string out;
-  out.reserve(journal.size());
-  std::size_t pos = 0;
-  while (pos < journal.size()) {
-    const auto start = journal.find(",\"a\":\"", pos);
-    if (start == std::string::npos) {
-      out.append(journal, pos, std::string::npos);
-      break;
-    }
-    out.append(journal, pos, start - pos);
-    std::size_t end = start + 6;  // first payload byte
-    while (end < journal.size() &&
-           (journal[end] != '"' || journal[end - 1] == '\\')) {
-      ++end;
-    }
-    pos = end + 1;  // past the closing quote
-  }
-  return out;
-}
-
-EngineRun run_on_engine(mpi::WorldEngine engine, const std::string& tag) {
-  auto& rec = tel::Recorder::instance();
-  rec.enable();
-  rec.reset();
-  const auto workload = apps::make_workload("LU");
-  auto opts = small_options();
-  opts.engine = engine;
-  Campaign campaign(*workload, opts);
-  campaign.profile();
-  const std::string path =
-      ::testing::TempDir() + "fastfit_engine_parity_" + tag;
-  std::remove(path.c_str());
-  std::remove((path + ".recording").c_str());
-  campaign.attach_journal(path, JournalMode::Create);
-  const auto& points = campaign.enumeration().points;
-  const auto n = std::min<std::size_t>(4, points.size());
-  EngineRun run;
-  run.results = campaign.measure_many(
-      std::span<const InjectionPoint>(points.data(), n), 3);
-  campaign.detach_journal();
-  std::ifstream in(path, std::ios::binary);
-  run.journal_bytes.assign(std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>());
-  for (const auto& c : rec.metrics().counters) {
-    if (c.name == "fastfit_trials_total") {
-      run.trial_counters[c.labels] = c.value;
-    }
-  }
-  rec.reset();
-  rec.disable();
-  return run;
-}
-
-TEST(Campaign, EngineParityIsByteIdentical) {
-  // The contract the whole PR hangs on: swapping the rank substrate is
-  // invisible in every output — per-point outcome counts, the trial
-  // journal byte for byte, and every fastfit_trials_total series.
-  const auto fibers = run_on_engine(mpi::WorldEngine::Fibers, "fibers");
-  const auto threads = run_on_engine(mpi::WorldEngine::Threads, "threads");
-
-  ASSERT_EQ(fibers.results.size(), threads.results.size());
-  for (std::size_t i = 0; i < fibers.results.size(); ++i) {
-    EXPECT_EQ(fibers.results[i].counts, threads.results[i].counts)
-        << "point " << i;
-    EXPECT_EQ(fibers.results[i].trials, threads.results[i].trials);
-  }
-  EXPECT_FALSE(fibers.journal_bytes.empty());
-  EXPECT_EQ(strip_autopsies(fibers.journal_bytes),
-            strip_autopsies(threads.journal_bytes));
-  EXPECT_FALSE(fibers.trial_counters.empty());
-  EXPECT_EQ(fibers.trial_counters, threads.trial_counters);
-}
-
 TEST(Campaign, FiberEnginePool8MatchesSerialBitIdentical) {
   const auto workload = apps::make_workload("LU");
   auto opts = small_options();
-  opts.engine = mpi::WorldEngine::Fibers;
   opts.max_parallel_trials = 1;
 
   Campaign serial(*workload, opts);

@@ -246,8 +246,8 @@ TEST(Resilience, WatchdogStormTriggersRecalibration) {
   SupervisedWorkload workload;
   auto opts = supervised_options();
   opts.max_parallel_trials = 2;
-  // This test exercises the watchdog-timeout path: with the deterministic
-  // monitor on, the synthetic hang (a silent early exit) would be proven
+  // This test exercises the watchdog-timeout path: with deterministic hang
+  // detection on, the synthetic hang (a silent early exit) would be proven
   // a deadlock in milliseconds and never reach the storm machinery.
   opts.deterministic_hang_detection = false;
   Campaign campaign(workload, opts);
@@ -298,7 +298,7 @@ TEST(Resilience, SerialInfLoopIsConfirmedWithEscalatedBudget) {
 }
 
 TEST(Resilience, DeterministicDeadlockBypassesWatchdogMachinery) {
-  // Same synthetic hang as above, but with the monitor on (the default):
+  // Same synthetic hang as above, but with hang detection on (the default):
   // the early exit is proven a deadlock structurally, so the trial is
   // classified INF_LOOP without an escalated re-run, without a storm
   // recalibration, and with a world autopsy attached to the point.

@@ -48,9 +48,10 @@ TEST(FailStop, DeathPoisonsWorldWithoutRepair) {
 
 TEST(FailStop, KillRankUnblocksBlockedReceive) {
   // The victim parks in a transport wait for a message that never comes;
-  // kill_rank must wake it and raise RankKilled on its own thread instead
-  // of burning the watchdog. Hang detection is off so the monitor cannot
-  // win the race by proving the blocked-on-exited-peer deadlock first.
+  // kill_rank must wake it and raise RankKilled on its own fiber instead
+  // of burning the watchdog. Hang detection is off so the deadlock verdict
+  // cannot win the race by proving the blocked-on-exited-peer deadlock
+  // first.
   auto options = small_world(2);
   options.hang_detection = false;
   World world(options);

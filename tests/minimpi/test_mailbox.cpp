@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "minimpi/fiber.hpp"
 #include "support/error.hpp"
 
 namespace fastfit::mpi {
@@ -23,11 +24,31 @@ Message make_msg(int source, std::uint64_t tag, std::size_t bytes = 0) {
   return m;
 }
 
+// Mailbox::receive parks the calling rank fiber, so every receive here runs
+// as the single fiber of a scheduler. Its idle handler waits for a wake from
+// another thread (a delivery or a poison) until the deadline, then resumes
+// the fiber so it can time out, as World's watchdog path does.
+Message receive(Mailbox& box, int source, std::uint64_t tag,
+                std::chrono::steady_clock::time_point deadline) {
+  FiberScheduler sched(1);
+  struct WakerScope {
+    Mailbox& box;
+    ~WakerScope() { box.set_fiber_waker(nullptr, -1); }
+  } scope{box};
+  box.set_fiber_waker(&sched, 0);
+  Message out;
+  sched.run([&](int) { out = box.receive(source, tag, deadline); },
+            [&] {
+              if (!sched.wait_for_ready(deadline)) sched.make_ready(0);
+            });
+  return out;
+}
+
 TEST(Mailbox, DeliverThenReceive) {
   PoisonState poison;
   Mailbox box(poison);
   box.deliver(make_msg(3, 42, 16));
-  const auto m = box.receive(3, 42, soon(100ms));
+  const auto m = receive(box, 3, 42, soon(100ms));
   EXPECT_EQ(m.source, 3);
   EXPECT_EQ(m.tag, 42u);
   EXPECT_EQ(m.payload.size(), 16u);
@@ -40,7 +61,7 @@ TEST(Mailbox, MatchingIsBySourceAndTag) {
   box.deliver(make_msg(1, 10));
   box.deliver(make_msg(2, 10));
   box.deliver(make_msg(1, 20));
-  const auto m = box.receive(1, 20, soon(100ms));
+  const auto m = receive(box, 1, 20, soon(100ms));
   EXPECT_EQ(m.source, 1);
   EXPECT_EQ(m.tag, 20u);
   EXPECT_EQ(box.pending(), 2u);  // non-matching stay queued
@@ -51,14 +72,14 @@ TEST(Mailbox, FifoAmongSameSourceAndTag) {
   Mailbox box(poison);
   box.deliver(make_msg(1, 5, 1));
   box.deliver(make_msg(1, 5, 2));
-  EXPECT_EQ(box.receive(1, 5, soon(100ms)).payload.size(), 1u);
-  EXPECT_EQ(box.receive(1, 5, soon(100ms)).payload.size(), 2u);
+  EXPECT_EQ(receive(box, 1, 5, soon(100ms)).payload.size(), 1u);
+  EXPECT_EQ(receive(box, 1, 5, soon(100ms)).payload.size(), 2u);
 }
 
 TEST(Mailbox, TimeoutRaisesSimTimeout) {
   PoisonState poison;
   Mailbox box(poison);
-  EXPECT_THROW(box.receive(0, 1, soon(20ms)), SimTimeout);
+  EXPECT_THROW(receive(box, 0, 1, soon(20ms)), SimTimeout);
 }
 
 TEST(Mailbox, CrossThreadDelivery) {
@@ -68,7 +89,7 @@ TEST(Mailbox, CrossThreadDelivery) {
     std::this_thread::sleep_for(10ms);
     box.deliver(make_msg(7, 99, 8));
   });
-  const auto m = box.receive(7, 99, soon(2000ms));
+  const auto m = receive(box, 7, 99, soon(2000ms));
   EXPECT_EQ(m.source, 7);
   producer.join();
 }
@@ -81,7 +102,7 @@ TEST(Mailbox, PoisonWakesWaiterWithWorldAborted) {
     poison.poison();
     box.wake();
   });
-  EXPECT_THROW(box.receive(0, 1, soon(5000ms)), WorldAborted);
+  EXPECT_THROW(receive(box, 0, 1, soon(5000ms)), WorldAborted);
   killer.join();
 }
 
@@ -90,8 +111,16 @@ TEST(Mailbox, PoisonedBeforeWaitThrowsImmediately) {
   poison.poison();
   Mailbox box(poison);
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW(box.receive(0, 1, soon(5000ms)), WorldAborted);
+  EXPECT_THROW(receive(box, 0, 1, soon(5000ms)), WorldAborted);
   EXPECT_LT(std::chrono::steady_clock::now() - start, 1000ms);
+}
+
+TEST(Mailbox, ReceiveOutsideAFiberIsAnInternalError) {
+  PoisonState poison;
+  Mailbox box(poison);
+  box.deliver(make_msg(1, 1));
+  EXPECT_THROW(box.receive(1, 1, soon(100ms)), InternalError);
+  EXPECT_EQ(box.pending(), 1u);
 }
 
 TEST(Mailbox, HasMatchIsExactOnSourceAndTag) {
@@ -102,22 +131,22 @@ TEST(Mailbox, HasMatchIsExactOnSourceAndTag) {
   EXPECT_TRUE(box.has_match(1, 10));
   EXPECT_FALSE(box.has_match(1, 11));
   EXPECT_FALSE(box.has_match(2, 10));
-  (void)box.receive(1, 10, soon(100ms));
+  (void)receive(box, 1, 10, soon(100ms));
   EXPECT_FALSE(box.has_match(1, 10));
 }
 
 TEST(Mailbox, WakeCannotSlipBetweenPoisonCheckAndWait) {
-  // Regression stress for the lost-wakeup race: the poison notify used to
-  // fire without the mailbox mutex, so it could land between a waiter's
-  // poison check and its entry into the timed wait — parking the waiter
-  // for the full deadline. With wake() taking the mutex the waiter must
-  // observe the poison promptly on every iteration. Run under TSan in CI.
+  // Regression stress for the lost-wakeup race: a wake that lands between
+  // the waiter's poison check and its park must not be lost (the
+  // scheduler latches it), or the waiter would sleep for the full
+  // deadline. The waiter must observe the poison promptly on every
+  // iteration. Run under TSan in CI.
   for (int i = 0; i < 200; ++i) {
     PoisonState poison;
     Mailbox box(poison);
     const auto start = std::chrono::steady_clock::now();
     std::thread waiter([&] {
-      EXPECT_THROW(box.receive(0, 1, soon(10000ms)), WorldAborted);
+      EXPECT_THROW(receive(box, 0, 1, soon(10000ms)), WorldAborted);
     });
     poison.poison();
     box.wake();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "minimpi/mpi.hpp"
 

@@ -45,8 +45,7 @@
 //       supported families listed.
 //
 // Exit codes: 0 clean success, 2 study completed but unhealthy —
-// quarantined points (results are partial for those points) or rank
-// threads still leaked in quarantine after the final reap, 1 fatal
+// quarantined points (results are partial for those points), 1 fatal
 // (usage or execution error).
 
 #include <array>
@@ -287,18 +286,6 @@ int cmd_study(const std::string& workload_name, const Args& args) {
   }
   options.campaign.isolation = core::parse_isolation_mode(isolation);
 
-  // World engine: resumable rank fibers (default) or thread-per-rank.
-  // Same validation path as the other text knobs; results are identical
-  // on both, so this is purely a substrate/wall-clock choice.
-  std::string world_engine = env.world_engine;
-  if (args.has("world-engine")) {
-    world_engine =
-        InjectionConfig::from_map(
-            {{"FASTFIT_WORLD_ENGINE", args.get("world-engine", "fibers")}})
-            .world_engine;
-  }
-  options.campaign.engine = mpi::parse_world_engine(world_engine);
-
   options.journal = env.journal;
   options.campaign.max_trial_retries =
       static_cast<std::uint32_t>(env.max_trial_retries);
@@ -318,19 +305,11 @@ int cmd_study(const std::string& workload_name, const Args& args) {
             .watchdog_escalation);
   }
   options.campaign.deterministic_hang_detection = env.hang_detection;
-  options.campaign.max_leaked_threads =
-      static_cast<std::size_t>(env.max_leaked_threads);
   if (args.has("hang-detection")) {
     options.campaign.deterministic_hang_detection =
         InjectionConfig::from_map(
             {{"FASTFIT_HANG_DETECTION", args.get("hang-detection", "1")}})
             .hang_detection;
-  }
-  if (args.has("max-leaked-threads")) {
-    options.campaign.max_leaked_threads = static_cast<std::size_t>(
-        InjectionConfig::from_map({{"FASTFIT_MAX_LEAKED_THREADS",
-                                    args.get("max-leaked-threads", "8")}})
-            .max_leaked_threads);
   }
   options.resume = args.has("resume");
   if (options.resume && options.journal.empty()) {
