@@ -280,7 +280,8 @@ int main() {
   // Hang-heavy section: time-to-classify INF_LOOP with deterministic hang
   // detection on vs off. The section needs points that really hang: a
   // Root/Comm bit flip only deadlocks when it lands on another valid rank
-  // or handle, which is rare in a 4-rank world, so it runs on a wider LU
+  // or handle (5 of 32 bits for a root in a 32-rank world, almost never
+  // in a 4-rank one), so it runs on a wider LU with 32 trials per point
   // and scouts the Root/Comm points with detection on, keeping those that
   // classify INF_LOOP. Trial outcomes are a pure function of the seed, so
   // the timed runs reproduce the scouted hangs. With detection on each
@@ -292,7 +293,7 @@ int main() {
   const auto max_hang_points = static_cast<std::size_t>(
       bench::env_u64("FASTFIT_BENCH_HANG_POINTS", 3));
   const auto hang_trials = static_cast<std::uint32_t>(
-      bench::env_u64("FASTFIT_BENCH_HANG_TRIALS", 8));
+      bench::env_u64("FASTFIT_BENCH_HANG_TRIALS", 32));
   const auto watchdog_ms = bench::env_u64("FASTFIT_BENCH_HANG_WATCHDOG_MS",
                                           250);
   const auto hang_workload = apps::make_workload("LU");
@@ -378,9 +379,9 @@ int main() {
                 classify_speedup,
                 static_cast<unsigned long long>(deterministic_deadlocks));
   } else {
-    std::printf("hang section classified no INF_LOOP (%zu points scouted "
-                "on %d-rank LU)\n",
-                hang_points.size(), hang_ranks);
+    std::printf("hang section classified no INF_LOOP (%zu hanging points "
+                "found on %d-rank LU in %u trials each)\n",
+                hang_points.size(), hang_ranks, hang_trials);
   }
 
   // Prefix-replay snapshots on a wide study (default: 32-rank LU at a
