@@ -308,6 +308,9 @@ void FiberScheduler::run(const std::function<void(int)>& body,
   tsan_sched_fiber_ = __tsan_get_current_fiber();
 #endif
 
+  // A mailbox may route a wake from another thread here as soon as the
+  // world installs it, so fiber state is only touched under mutex_.
+  std::unique_lock init_lock(mutex_);
   for (int i = 0; i < nfibers_; ++i) {
     Fiber& f = fibers_[static_cast<std::size_t>(i)];
     f.stack = t_stack_pool.acquire(stack_bytes_);
@@ -329,6 +332,7 @@ void FiberScheduler::run(const std::function<void(int)>& body,
     f.state = State::Ready;
     ready_.push_back(i);
   }
+  init_lock.unlock();
 
   while (finished_ < nfibers_) {
     int next = -1;
