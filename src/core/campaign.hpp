@@ -73,7 +73,7 @@ struct CampaignOptions {
   }
   /// Collective algorithm selection for every run of this campaign.
   mpi::CollectiveAlgorithms algorithms;
-  /// Unread; kept so callers that still name the engine compile.
+  /// Unread; kept because perfbench/refstudy.cpp still sets it.
   mpi::WorldEngine engine = mpi::WorldEngine::Fibers;
   /// Upper bound on concurrently executing trials in measure_many. 0 means
   /// "auto": hardware_concurrency() (min 1) — a trial runs all its rank
@@ -156,7 +156,7 @@ struct CampaignHealth {
   std::uint64_t watchdog_recalibrations = 0; ///< storm-triggered recalibrations
   std::uint64_t replayed_trials = 0;         ///< trials served from the journal
   std::uint64_t deterministic_deadlocks = 0; ///< structurally proven INF_LOOPs
-  /// Always 0; kept because reports and fragment readers still name it.
+  /// Always 0; kept because perfbench/refstudy.cpp still reads it.
   std::uint64_t leaked_rank_threads = 0;
   std::uint64_t worker_deaths = 0;           ///< workers killed by a real signal
   std::uint64_t worker_lease_kills = 0;      ///< workers SIGKILLed past the lease
@@ -303,10 +303,9 @@ class Campaign : private TrialRunner {
   /// Thread-safe after profile(): touches only immutable campaign state.
   /// Performs the post-trial audit: a fully torn-down world that left
   /// memory regions registered is a harness bug and throws InternalError
-  /// so the guard retries it. Stray undelivered messages are
-  /// a legitimate fault consequence (e.g. a corrupted root re-routes
-  /// sends nobody awaits), so only the uninjected golden/profiling runs
-  /// assert on them.
+  /// so the guard retries it. Stray undelivered messages are a legitimate
+  /// fault consequence (e.g. a corrupted root re-routes sends nobody
+  /// awaits), so only the uninjected golden/profiling runs assert on them.
   inject::TrialForensics run_trial(const InjectionPoint& point,
                                    std::uint64_t trial,
                                    std::chrono::milliseconds watchdog);

@@ -48,8 +48,7 @@ namespace fastfit::mpi {
 class Mpi;
 class FiberScheduler;
 
-/// Kept with its single value for source compatibility with callers that
-/// still name the engine; rank fibers are the only world engine.
+/// Rank fibers are the one world engine; kept because perfbench names it.
 enum class WorldEngine : std::uint8_t { Fibers };
 
 /// Algorithm selection per collective family, mirroring how production
@@ -263,9 +262,9 @@ class WorldState {
   ToolHooks* tools_ = nullptr;
 
   // Fail-stop bookkeeping: doomed_ is the kill signal a rank polls at its
-  // cancellation points; dead_ records reported deaths; revoked_comm_limit_ is the
-  // size of the communicator table at revocation time (older handles are
-  // revoked, newer — the shrunken comm — are exempt).
+  // cancellation points; dead_ records reported deaths; revoked_comm_limit_
+  // is the size of the communicator table at revocation time (older
+  // handles are revoked, newer — the shrunken comm — are exempt).
   std::unique_ptr<std::atomic<bool>[]> doomed_;
   std::unique_ptr<std::atomic<bool>[]> dead_;
   std::atomic<int> dead_count_{0};
