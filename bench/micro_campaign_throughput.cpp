@@ -288,8 +288,7 @@ int main() {
   // deadlock is declared the moment the world goes quiescent; the
   // timeout-only path pays the full watchdog plus the escalated
   // re-confirmation run per hang.
-  const int hang_ranks =
-      static_cast<int>(bench::env_u64("FASTFIT_BENCH_HANG_RANKS", 32));
+  constexpr int hang_ranks = 32;
   const auto max_hang_points = static_cast<std::size_t>(
       bench::env_u64("FASTFIT_BENCH_HANG_POINTS", 3));
   const auto hang_trials = static_cast<std::uint32_t>(
