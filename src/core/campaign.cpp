@@ -155,7 +155,7 @@ std::pair<std::uint64_t, std::chrono::milliseconds> Campaign::run_golden(
   opts.algorithms = options_.algorithms;
   opts.watchdog = watchdog_budget;
   opts.hang_detection = options_.deterministic_hang_detection;
-  trace::ContextRegistry contexts(options_.nranks);
+  trace::ContextRegistry contexts(options_.nranks, /*record_call_graph=*/false);
   tel::ScopedSpan span("golden-run");
   const auto t0 = std::chrono::steady_clock::now();
   const auto golden = apps::run_job(*workload_, opts, nullptr, contexts);
@@ -347,7 +347,8 @@ std::shared_ptr<const mpi::WorldRecording> Campaign::build_recording() {
         30'000ms, watchdog_ * options_.watchdog_escalation);
     opts.hang_detection = options_.deterministic_hang_detection;
     opts.recorder = recorder;
-    trace::ContextRegistry contexts(options_.nranks);
+    trace::ContextRegistry contexts(options_.nranks,
+                                    /*record_call_graph=*/false);
     const auto job = apps::run_job(*workload_, opts, nullptr, contexts);
     if (!job.world.clean() || job.world.leaked_regions > 0 ||
         job.world.undelivered_messages > 0) {
@@ -431,7 +432,7 @@ inject::TrialForensics Campaign::execute_trial(
   opts.hang_detection = options_.deterministic_hang_detection;
   opts.repair = options_.repair;
   opts.replay = snapshot;
-  trace::ContextRegistry contexts(options_.nranks);
+  trace::ContextRegistry contexts(options_.nranks, /*record_call_graph=*/false);
   auto& rec = tel::Recorder::instance();
   if (snapshot && rec.enabled()) {
     static auto& clones = rec.counter(

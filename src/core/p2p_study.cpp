@@ -120,7 +120,7 @@ P2pPointResult measure_p2p(Campaign& campaign, const P2pInjectionPoint& point,
     opts.seed = campaign.options().seed;
     opts.watchdog = campaign.watchdog();
     opts.algorithms = campaign.options().algorithms;
-    trace::ContextRegistry contexts(opts.nranks);
+    trace::ContextRegistry contexts(opts.nranks, /*record_call_graph=*/false);
     const auto job =
         apps::run_job(campaign.workload(), opts, &injector, contexts);
     result.record(

@@ -27,7 +27,8 @@ void Mpi::run_allreduce(const CollectiveCall& call, std::uint32_t seq) {
   int newrank;
   if (me < 2 * rem) {
     if (me % 2 == 0) {
-      send_internal(call.comm, me + 1, coll_tag(call.comm, seq, 0), accum);
+      send_internal(call.comm, me + 1, coll_tag(call.comm, seq, 0),
+                    copy_payload(accum));
       newrank = -1;  // idle during the exchange rounds
     } else {
       auto payload =
@@ -45,7 +46,8 @@ void Mpi::run_allreduce(const CollectiveCall& call, std::uint32_t seq) {
     for (int mask = 1; mask < pof2; mask <<= 1, ++phase) {
       const int newdst = newrank ^ mask;
       const int dst = (newdst < rem) ? newdst * 2 + 1 : newdst + rem;
-      send_internal(call.comm, dst, coll_tag(call.comm, seq, phase), accum);
+      send_internal(call.comm, dst, coll_tag(call.comm, seq, phase),
+                    copy_payload(accum));
       auto payload =
           recv_internal(call.comm, dst, coll_tag(call.comm, seq, phase));
       combine_payload(call.op, call.datatype, payload, accum);
@@ -55,14 +57,18 @@ void Mpi::run_allreduce(const CollectiveCall& call, std::uint32_t seq) {
   // Unfold: deliver the result back to the idle even ranks.
   if (me < 2 * rem) {
     if (me % 2 == 1) {
-      send_internal(call.comm, me - 1, coll_tag(call.comm, seq, 255), accum);
+      send_internal(call.comm, me - 1, coll_tag(call.comm, seq, 255),
+                    copy_payload(accum));
     } else {
-      accum = recv_internal(call.comm, me + 1, coll_tag(call.comm, seq, 255));
-      require_fits(accum.size(), bytes, "allreduce");
+      const auto result =
+          recv_internal(call.comm, me + 1, coll_tag(call.comm, seq, 255));
+      require_fits(result.size(), bytes, "allreduce");
+      accum.assign(result.begin(), result.end());
     }
   }
 
   store(call.recvbuf, accum, "allreduce receive buffer");
+  world_->recycle_payload(std::move(accum));
 }
 
 void Mpi::run_reduce_scatter_block(const CollectiveCall& call,
@@ -114,8 +120,10 @@ void Mpi::run_reduce_scatter_block(const CollectiveCall& call,
     mine = std::move(accum);
   } else {
     (void)sent;
-    mine = recv_internal(call.comm, 0, coll_tag(call.comm, seq, 1));
-    require_fits(mine.size(), block_bytes, "reduce_scatter_block");
+    const auto block =
+        recv_internal(call.comm, 0, coll_tag(call.comm, seq, 1));
+    require_fits(block.size(), block_bytes, "reduce_scatter_block");
+    mine.assign(block.begin(), block.end());
   }
   store(call.recvbuf, mine, "reduce_scatter_block receive buffer");
 }
@@ -133,7 +141,8 @@ void Mpi::run_scan(const CollectiveCall& call, std::uint32_t seq) {
     combine_payload(call.op, call.datatype, prefix, accum);
   }
   if (me < n - 1) {
-    send_internal(call.comm, me + 1, coll_tag(call.comm, seq, 0), accum);
+    send_internal(call.comm, me + 1, coll_tag(call.comm, seq, 0),
+                  copy_payload(accum));
   }
   store(call.recvbuf, accum, "scan receive buffer");
 }

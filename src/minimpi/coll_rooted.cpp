@@ -51,10 +51,12 @@ void Mpi::run_bcast(const CollectiveCall& call, std::uint32_t seq) {
     if (relative + mask < n) {
       int dst = me + mask;
       if (dst >= n) dst -= n;
-      send_internal(call.comm, dst, coll_tag(call.comm, seq, 0), data);
+      send_internal(call.comm, dst, coll_tag(call.comm, seq, 0),
+                    copy_payload(data));
     }
     mask >>= 1;
   }
+  world_->recycle_payload(std::move(data));
 }
 
 void Mpi::run_reduce(const CollectiveCall& call, std::uint32_t seq) {
@@ -130,9 +132,11 @@ void Mpi::run_gather(const CollectiveCall& call, std::uint32_t seq) {
         static_cast<std::size_t>(call.recvcount) *
         datatype_size(call.recvdatatype);
     for (int r = 0; r < n; ++r) {
-      std::vector<std::byte> payload;
+      std::vector<std::byte> own;
+      std::span<const std::byte> payload;
       if (r == me) {
-        payload = pack(call.sendbuf, sbytes, "gather send buffer");
+        own = pack(call.sendbuf, sbytes, "gather send buffer");
+        payload = own;
       } else {
         payload = recv_internal(call.comm, r, coll_tag(call.comm, seq, 0));
       }

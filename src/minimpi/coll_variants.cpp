@@ -66,9 +66,10 @@ void Mpi::run_allreduce_reduce_bcast(const CollectiveCall& call,
     int bit = 1;
     while (bit < n) {
       if (me & bit) {
-        accum = recv_internal(call.comm, me - bit,
-                              coll_tag(call.comm, seq, 1));
-        require_fits(accum.size(), bytes, "allreduce(reduce+bcast)");
+        const auto result =
+            recv_internal(call.comm, me - bit, coll_tag(call.comm, seq, 1));
+        require_fits(result.size(), bytes, "allreduce(reduce+bcast)");
+        accum.assign(result.begin(), result.end());
         break;
       }
       bit <<= 1;
@@ -77,7 +78,7 @@ void Mpi::run_allreduce_reduce_bcast(const CollectiveCall& call,
     while (bit > 0) {
       if (me + bit < n) {
         send_internal(call.comm, me + bit, coll_tag(call.comm, seq, 1),
-                      accum);
+                      copy_payload(accum));
       }
       bit >>= 1;
     }
@@ -87,7 +88,8 @@ void Mpi::run_allreduce_reduce_bcast(const CollectiveCall& call,
     bit >>= 1;
     while (bit > 0) {
       if (bit < n) {
-        send_internal(call.comm, bit, coll_tag(call.comm, seq, 1), accum);
+        send_internal(call.comm, bit, coll_tag(call.comm, seq, 1),
+                      copy_payload(accum));
       }
       bit >>= 1;
     }

@@ -61,9 +61,11 @@ void Mpi::run_gatherv(const CollectiveCall& call, std::uint32_t seq) {
     const auto& counts = *call.recvcounts;
     const auto& displs = *call.rdispls;
     for (int r = 0; r < n; ++r) {
-      std::vector<std::byte> payload;
+      std::vector<std::byte> own;
+      std::span<const std::byte> payload;
       if (r == me) {
-        payload = pack(call.sendbuf, sbytes, "gatherv send buffer");
+        own = pack(call.sendbuf, sbytes, "gatherv send buffer");
+        payload = own;
       } else {
         payload = recv_internal(call.comm, r, coll_tag(call.comm, seq, 0));
       }

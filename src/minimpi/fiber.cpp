@@ -170,11 +170,8 @@ void FiberScheduler::trampoline() {
     // is a scheduler-user bug. First error wins, mirroring the executor.
     if (!self->error_) self->error_ = std::current_exception();
   }
-  {
-    std::lock_guard lock(self->mutex_);
-    self->fibers_[static_cast<std::size_t>(i)].state = State::Done;
-    ++self->finished_;
-  }
+  self->fibers_[static_cast<std::size_t>(i)].state = State::Done;
+  ++self->finished_;
   self->switch_to_scheduler(/*dying=*/true);
   // Unreachable: a dying fiber is never resumed (on the ucontext path
   // uc_link backstops it; on the fast path the entry thunk aborts).
@@ -182,10 +179,7 @@ void FiberScheduler::trampoline() {
 
 void FiberScheduler::resume(int fiber) {
   Fiber& f = fibers_[static_cast<std::size_t>(fiber)];
-  {
-    std::lock_guard lock(mutex_);
-    f.state = State::Running;
-  }
+  f.state = State::Running;
   current_ = fiber;
 #if defined(FASTFIT_TSAN_FIBERS)
   __tsan_switch_to_fiber(f.tsan_fiber, 0);
@@ -233,52 +227,39 @@ void FiberScheduler::block_current() {
   if (current_ < 0) {
     throw InternalError("FiberScheduler::block_current: not inside a fiber");
   }
-  {
-    std::lock_guard lock(mutex_);
-    Fiber& f = fibers_[static_cast<std::size_t>(current_)];
-    if (f.wake_pending) {
-      // A wake raced our entry (kill_rank from another thread between the
-      // caller's queue scan and this park): consume it and keep running.
-      f.wake_pending = false;
-      return;
-    }
-    f.state = State::Blocked;
-  }
+  fibers_[static_cast<std::size_t>(current_)].state = State::Blocked;
   switch_to_scheduler(/*dying=*/false);
 }
 
 void FiberScheduler::make_ready(int fiber) {
-  bool notify = false;
+  Fiber& f = fibers_[static_cast<std::size_t>(fiber)];
+  if (f.state != State::Blocked) return;
+  f.state = State::Ready;
+  ready_.push_back(fiber);
+}
+
+void FiberScheduler::post(std::function<void()> task) {
   {
-    std::lock_guard lock(mutex_);
-    Fiber& f = fibers_[static_cast<std::size_t>(fiber)];
-    switch (f.state) {
-      case State::Blocked:
-        f.state = State::Ready;
-        f.wake_pending = false;
-        ready_.push_back(fiber);
-        // Most wakes happen while the scheduler thread is running another
-        // fiber (sender delivering to a parked receiver); it will see the
-        // non-empty deque on its next dispatch without a futex. Only a
-        // thread actually parked in wait_for_ready needs the notify — its
-        // predicate re-checks ready_ under this same mutex, so gating on
-        // cv_waiting_ cannot lose a wake.
-        notify = cv_waiting_;
-        break;
-      case State::Running:
-        f.wake_pending = true;  // latched; block_current() consumes it
-        break;
-      case State::Ready:
-      case State::Done:
-        break;
-    }
+    std::lock_guard lock(inbox_mutex_);
+    inbox_.push_back(std::move(task));
+    inbox_pending_.store(true, std::memory_order_release);
   }
-  if (notify) ready_cv_.notify_all();
+  inbox_cv_.notify_one();
+}
+
+void FiberScheduler::drain_inbox() {
+  if (!inbox_pending_.load(std::memory_order_acquire)) return;
+  std::vector<std::function<void()>> tasks;
+  {
+    std::lock_guard lock(inbox_mutex_);
+    tasks.swap(inbox_);
+    inbox_pending_.store(false, std::memory_order_relaxed);
+  }
+  for (auto& task : tasks) task();
 }
 
 std::vector<int> FiberScheduler::blocked() const {
   std::vector<int> out;
-  std::lock_guard lock(mutex_);
   for (int i = 0; i < nfibers_; ++i) {
     if (fibers_[static_cast<std::size_t>(i)].state == State::Blocked) {
       out.push_back(i);
@@ -289,12 +270,16 @@ std::vector<int> FiberScheduler::blocked() const {
 
 bool FiberScheduler::wait_for_ready(
     std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock lock(mutex_);
-  cv_waiting_ = true;
-  const bool ready = ready_cv_.wait_until(lock, deadline,
-                                          [&] { return !ready_.empty(); });
-  cv_waiting_ = false;
-  return ready;
+  for (;;) {
+    drain_inbox();
+    if (!ready_.empty()) return true;
+    std::unique_lock lock(inbox_mutex_);
+    if (!inbox_cv_.wait_until(lock, deadline, [this] {
+          return inbox_pending_.load(std::memory_order_relaxed);
+        })) {
+      return false;
+    }
+  }
 }
 
 void FiberScheduler::run(const std::function<void(int)>& body,
@@ -308,9 +293,6 @@ void FiberScheduler::run(const std::function<void(int)>& body,
   tsan_sched_fiber_ = __tsan_get_current_fiber();
 #endif
 
-  // A mailbox may route a wake from another thread here as soon as the
-  // world installs it, so fiber state is only touched under mutex_.
-  std::unique_lock init_lock(mutex_);
   for (int i = 0; i < nfibers_; ++i) {
     Fiber& f = fibers_[static_cast<std::size_t>(i)];
     f.stack = t_stack_pool.acquire(stack_bytes_);
@@ -332,18 +314,12 @@ void FiberScheduler::run(const std::function<void(int)>& body,
     f.state = State::Ready;
     ready_.push_back(i);
   }
-  init_lock.unlock();
 
   while (finished_ < nfibers_) {
-    int next = -1;
-    {
-      std::lock_guard lock(mutex_);
-      if (!ready_.empty()) {
-        next = ready_.front();
-        ready_.pop_front();
-      }
-    }
-    if (next >= 0) {
+    drain_inbox();
+    if (!ready_.empty()) {
+      const int next = ready_.front();
+      ready_.pop_front();
       resume(next);
       continue;
     }

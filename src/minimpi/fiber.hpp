@@ -18,18 +18,19 @@
 // MiniMPI matching is exact on (source, tag), the schedule cannot change
 // any rank's observable execution.
 //
-// Wakes (message delivery, poison, revocation, kill_rank) may arrive
-// from other OS threads (tests, the process-wide teardown paths), so
-// make_ready() is thread-safe and a wake that races a fiber's entry
-// into block_current() is latched in a per-fiber pending flag rather
-// than lost — the cooperative analogue of Mailbox::wake()'s
-// lock-before-notify discipline.
+// A scheduler is confined to the thread that runs it: the ready queue,
+// the fiber states and every mailbox queue they wait on are touched only
+// from that thread, without locks. The one cross-thread entry is the
+// inbox: post() hands a task (a foreign kill_rank's wake, a poison wake, a
+// delivery from a test thread) to the scheduler under the inbox mutex, and
+// the scheduler drains it on its own thread between fibers and while idle.
 //
 // Sanitizer support: under TSan and ASan every switch is annotated with
 // the fiber APIs (__tsan_switch_to_fiber / __sanitizer_start_switch_
 // fiber), so the fiber suites run under the sanitizer CI jobs like any
 // other code.
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -110,22 +111,30 @@ class FiberScheduler {
   bool in_fiber() const noexcept { return current_ >= 0; }
 
   /// Parks the current fiber and switches to the scheduler. Returns when
-  /// some make_ready(current) resumes it. A wake that arrived since the
-  /// caller last held the fiber (the pending latch) returns immediately.
+  /// some make_ready(current) resumes it.
   void block_current();
 
-  /// Marks a blocked fiber ready (FIFO). Thread-safe: callable from the
-  /// scheduler thread (a sender fiber delivering to a parked receiver)
-  /// or from any other thread (kill_rank, poison storms from tests).
-  /// Waking a running fiber latches the wake instead of losing it;
-  /// waking a ready or finished fiber is a no-op.
+  /// Marks a blocked fiber ready (FIFO). Scheduler thread only: a sender
+  /// fiber delivering to a parked receiver, or the idle handler. Other
+  /// threads go through post(). Waking a running, ready or finished fiber
+  /// is a no-op: a running fiber rechecks its mailbox and the world flags
+  /// before it parks.
   void make_ready(int fiber);
+
+  /// Hands `task` to the scheduler thread, which runs it between fibers or
+  /// from wait_for_ready(). Callable from any thread; the only entry into
+  /// a running world from outside it.
+  void post(std::function<void()> task);
+
+  /// Runs every posted task now, on the calling (scheduler) thread.
+  void drain_inbox();
 
   /// Blocked fibers in rank order — the idle handler's scan set.
   std::vector<int> blocked() const;
 
-  /// Idle wait: blocks until a fiber becomes ready or `deadline` passes.
-  /// Returns true when a fiber is ready. Only meaningful from on_idle().
+  /// Idle wait: runs posted tasks as they arrive until a fiber is ready or
+  /// `deadline` passes. Returns true when a fiber is ready. Only
+  /// meaningful from on_idle().
   bool wait_for_ready(std::chrono::steady_clock::time_point deadline);
 
   /// Fibers whose body has returned.
@@ -144,7 +153,6 @@ class FiberScheduler {
     void* saved_sp = nullptr;  // fast-switch path: parked stack pointer
     std::unique_ptr<std::byte[]> stack;
     State state = State::Ready;
-    bool wake_pending = false;
 #if defined(FASTFIT_TSAN_FIBERS)
     void* tsan_fiber = nullptr;
 #endif
@@ -159,11 +167,14 @@ class FiberScheduler {
   ucontext_t sched_context_{};
   void* sched_sp_ = nullptr;  // fast-switch path: scheduler's parked sp
 
-  mutable std::mutex mutex_;
-  std::condition_variable ready_cv_;
   std::deque<int> ready_;
-  bool cv_waiting_ = false;  // a thread is parked in wait_for_ready
   int finished_ = 0;
+
+  // The inbox: the only state other threads touch.
+  std::mutex inbox_mutex_;
+  std::condition_variable inbox_cv_;
+  std::vector<std::function<void()>> inbox_;
+  std::atomic<bool> inbox_pending_{false};
 
   int current_ = -1;
   const std::function<void(int)>* body_ = nullptr;

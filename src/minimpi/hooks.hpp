@@ -114,8 +114,8 @@ enum class SendAction : std::uint8_t {
   Hold = 2,     ///< park it; the transport re-offers it for late delivery
 };
 
-/// A tool attached to the interposition layer. Hooks run on the calling
-/// rank's thread; implementations must be thread-safe across ranks.
+/// A tool attached to the interposition layer. Hooks run in the calling
+/// rank's fiber, on its world's one thread (minimpi/world.hpp).
 class ToolHooks {
  public:
   virtual ~ToolHooks() = default;

@@ -7,40 +7,53 @@
 
 namespace fastfit::mpi {
 
+bool Mailbox::on_owner_thread() const noexcept {
+  const FiberScheduler* sched = fiber_sched_.load(std::memory_order_acquire);
+  return sched != nullptr && sched == FiberScheduler::active();
+}
+
 void Mailbox::deliver(Message message) {
-  std::lock_guard lock(mutex_);
+  if (on_owner_thread()) {
+    // A delivery is the wake: the owning fiber becomes ready.
+    queue_.push_back(std::move(message));
+    fiber_sched_.load(std::memory_order_relaxed)->make_ready(fiber_rank_);
+    return;
+  }
+  std::lock_guard lock(attach_mutex_);
+  if (FiberScheduler* sched = fiber_sched_.load(std::memory_order_relaxed)) {
+    // Another thread: the scheduler applies the delivery on its own thread,
+    // where this call takes the owner path above (or the detached path
+    // below, when the world drains its inbox after teardown).
+    sched->post([this, m = std::move(message)]() mutable {
+      deliver(std::move(m));
+    });
+    return;
+  }
   queue_.push_back(std::move(message));
-  // A delivery is the wake: mark the owning fiber ready while holding the
-  // mailbox mutex (the scheduler pointer is cleared under this mutex at
-  // teardown, so the call can never dangle).
-  if (fiber_sched_ != nullptr) fiber_sched_->make_ready(fiber_rank_);
 }
 
 void Mailbox::set_fiber_waker(FiberScheduler* sched, int owner_rank) {
-  std::lock_guard lock(mutex_);
-  fiber_sched_ = sched;
+  std::lock_guard lock(attach_mutex_);
+  fiber_sched_.store(sched, std::memory_order_release);
   fiber_rank_ = owner_rank;
 }
 
 Message Mailbox::receive(int source, std::uint64_t tag,
                          std::chrono::steady_clock::time_point deadline,
                          bool revocable) {
-  FiberScheduler* sched = FiberScheduler::active();
-  if (sched == nullptr || !sched->in_fiber()) {
-    throw InternalError("Mailbox::receive called outside a rank fiber");
+  if (!on_owner_thread() || !FiberScheduler::active()->in_fiber()) {
+    throw InternalError("Mailbox::receive called outside its rank fiber");
   }
+  FiberScheduler* sched = FiberScheduler::active();
   for (;;) {
-    {
-      std::lock_guard lock(mutex_);
-      auto it = std::find_if(queue_.begin(), queue_.end(),
-                             [&](const Message& m) {
-                               return m.source == source && m.tag == tag;
-                             });
-      if (it != queue_.end()) {
-        Message out = std::move(*it);
-        queue_.erase(it);
-        return out;
-      }
+    auto it = std::find_if(queue_.begin(), queue_.end(),
+                           [&](const Message& m) {
+                             return m.source == source && m.tag == tag;
+                           });
+    if (it != queue_.end()) {
+      Message out = std::move(*it);
+      queue_.erase(it);
+      return out;
     }
     // No match: doom, poison and revocation are checked before the
     // deadline, so a teardown is never misreported as a hang.
@@ -68,17 +81,25 @@ Message Mailbox::receive(int source, std::uint64_t tag,
 }
 
 void Mailbox::wake() {
-  std::lock_guard lock(mutex_);
-  if (fiber_sched_ != nullptr) fiber_sched_->make_ready(fiber_rank_);
+  if (on_owner_thread()) {
+    fiber_sched_.load(std::memory_order_relaxed)->make_ready(fiber_rank_);
+    return;
+  }
+  std::lock_guard lock(attach_mutex_);
+  if (FiberScheduler* sched = fiber_sched_.load(std::memory_order_relaxed)) {
+    sched->post([sched, rank = fiber_rank_] { sched->make_ready(rank); });
+  }
 }
 
+// The two inspectors lock in both states: on the owner thread the lock is
+// uncontended, and while detached it orders them after a foreign delivery.
 std::size_t Mailbox::pending() const {
-  std::lock_guard lock(mutex_);
+  std::lock_guard lock(attach_mutex_);
   return queue_.size();
 }
 
 bool Mailbox::has_match(int source, std::uint64_t tag) const {
-  std::lock_guard lock(mutex_);
+  std::lock_guard lock(attach_mutex_);
   return std::any_of(queue_.begin(), queue_.end(), [&](const Message& m) {
     return m.source == source && m.tag == tag;
   });

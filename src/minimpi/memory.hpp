@@ -14,15 +14,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace fastfit::mpi {
 
 /// Per-rank registry of valid buffer regions.
 ///
-/// Thread-safety: registration/removal and checking lock a mutex, so a
-/// test or tool may inspect a registry from another thread.
+/// Thread-safety: none needed. A registry belongs to one rank of one world,
+/// and the world runs all its ranks on one thread (minimpi/world.hpp); a
+/// test reads it from that thread once run() has returned.
 class MemoryRegistry {
  public:
   /// Registers [ptr, ptr+bytes). Overlapping registrations are rejected.
@@ -40,10 +40,9 @@ class MemoryRegistry {
   /// True iff the range is fully covered (non-throwing form of check()).
   bool covers(const void* ptr, std::size_t bytes) const noexcept;
 
-  std::size_t region_count() const;
+  std::size_t region_count() const noexcept { return regions_.size(); }
 
  private:
-  mutable std::mutex mutex_;
   // base address -> byte length
   std::map<std::uintptr_t, std::size_t> regions_;
 };
@@ -55,7 +54,8 @@ class MemoryRegistry {
 /// `unique_bytes` is what the snapshot cache charges against its budget.
 /// Chunks are shared_ptrs: a "clone" of a snapshot copies nothing, and
 /// dirty data never exists — replay copies a chunk into the trial's own
-/// application buffer and every later write lands there.
+/// application buffer and every later write lands there. Unsynchronized:
+/// a store belongs to one recording world or one recording loader.
 class ChunkStore {
  public:
   using Chunk = std::shared_ptr<const std::vector<std::byte>>;
@@ -63,11 +63,10 @@ class ChunkStore {
   /// Returns a chunk holding exactly `bytes` (deduplicated by content).
   Chunk intern(const void* data, std::size_t bytes);
 
-  std::size_t unique_bytes() const;
-  std::size_t unique_chunks() const;
+  std::size_t unique_bytes() const noexcept { return bytes_; }
+  std::size_t unique_chunks() const noexcept { return chunks_; }
 
  private:
-  mutable std::mutex mutex_;
   // content hash -> chunks with that hash (collisions compared by value)
   std::map<std::uint64_t, std::vector<Chunk>> buckets_;
   std::size_t bytes_ = 0;

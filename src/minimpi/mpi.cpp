@@ -1,6 +1,7 @@
 #include "minimpi/mpi.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <sstream>
 
@@ -24,12 +25,22 @@ std::uint64_t p2p_tag(Comm comm, std::int32_t user_tag) {
          static_cast<std::uint32_t>(user_tag);
 }
 
+// Call-site id: FNV-1a of the key text "<file>:<line>:<kind>" for a
+// collective, "<file>:<line>:p2p:<kind>" for a point-to-point call. The key
+// is hashed piecewise, without building it: the ids are stored in
+// recordings, journals and golden fixtures, so its bytes must not change.
 std::uint32_t site_hash(const std::source_location& loc,
-                        CollectiveKind kind) {
-  std::ostringstream key;
-  key << loc.file_name() << ':' << loc.line() << ':'
-      << static_cast<int>(kind);
-  return static_cast<std::uint32_t>(fnv1a(key.str()));
+                        std::string_view space, int kind) {
+  char tail[48];
+  char* p = tail;
+  *p++ = ':';
+  p = std::to_chars(p, tail + sizeof tail, loc.line()).ptr;
+  *p++ = ':';
+  p = std::copy(space.begin(), space.end(), p);
+  p = std::to_chars(p, tail + sizeof tail, kind).ptr;
+  return static_cast<std::uint32_t>(fnv1a(
+      std::string_view(tail, static_cast<std::size_t>(p - tail)),
+      fnv1a(loc.file_name())));
 }
 
 // Restores a rank's progress phase to Computing when a mailbox wait ends,
@@ -179,7 +190,9 @@ void Mpi::replay_send(const P2pCall& call) {
   // cut). Verify the payload so silent divergence cannot propagate.
   const std::size_t bytes =
       static_cast<std::size_t>(call.count) * datatype_size(call.datatype);
-  const auto& chunk = op.writes.empty() ? nullptr : op.writes.front();
+  // A raw pointer, not a shared_ptr copy: the recording is shared by every
+  // lane's trials, and refcount traffic on it would bounce between cores.
+  const auto* chunk = op.writes.empty() ? nullptr : op.writes.front().get();
   if (!chunk || chunk->size() != bytes) {
     throw ReplayError("rank " + std::to_string(world_rank_) +
                       ": send payload size diverged from the recording");
@@ -210,7 +223,7 @@ void Mpi::replay_recv(const P2pCall& call) {
   }
   const std::size_t bytes =
       static_cast<std::size_t>(call.count) * datatype_size(call.datatype);
-  const auto& chunk = op.writes.empty() ? nullptr : op.writes.front();
+  const auto* chunk = op.writes.empty() ? nullptr : op.writes.front().get();
   if (!chunk || chunk->size() > bytes) {
     throw ReplayError("rank " + std::to_string(world_rank_) +
                       ": recv payload size diverged from the recording");
@@ -263,7 +276,7 @@ void Mpi::publish_op(const char* op, Comm comm, std::uint32_t seq, int root) {
     sig.stack_id = probe.stack_id;
     sig.frame = std::move(probe.frame);
   }
-  world_->progress().publish_op(world_rank_, sig);
+  world_->progress().publish_op(world_rank_, std::move(sig));
 }
 
 std::uint64_t Mpi::coll_tag(Comm comm, std::uint32_t seq,
@@ -323,8 +336,8 @@ void Mpi::send_internal(Comm comm, int dest, std::uint64_t tag,
   flush_held();
 }
 
-std::vector<std::byte> Mpi::recv_internal(Comm comm, int source,
-                                          std::uint64_t tag) {
+std::span<const std::byte> Mpi::recv_internal(Comm comm, int source,
+                                              std::uint64_t tag) {
   check_doom();
   if (world_->comm_revoked(comm)) {
     throw RankRevoked("rank " + std::to_string(world_rank_) +
@@ -351,7 +364,11 @@ std::vector<std::byte> Mpi::recv_internal(Comm comm, int source,
   try {
     Message message = world_->mailbox(world_rank_).receive(
         source, tag, world_->deadline(), revocable);
-    return std::move(message.payload);
+    // Keep the payload's storage as this rank's inbound buffer and return
+    // the storage it replaces to the world for the next packed message.
+    inbound_.swap(message.payload);
+    world_->recycle_payload(std::move(message.payload));
+    return inbound_;
   } catch (const SimTimeout& timeout) {
     throw SimTimeout("rank " + std::to_string(world_rank_) + " blocked in " +
                      world_->progress().snapshot(world_rank_).sig.describe() +
@@ -366,8 +383,12 @@ std::vector<std::byte> Mpi::recv_internal(Comm comm, int source,
 std::vector<std::byte> Mpi::pack(const void* ptr, std::size_t bytes,
                                  const char* what) {
   registry().check(ptr, bytes, what);
-  std::vector<std::byte> out(bytes);
-  if (bytes > 0) std::memcpy(out.data(), ptr, bytes);
+  return copy_payload({static_cast<const std::byte*>(ptr), bytes});
+}
+
+std::vector<std::byte> Mpi::copy_payload(std::span<const std::byte> bytes) {
+  std::vector<std::byte> out = world_->take_payload();
+  out.assign(bytes.begin(), bytes.end());
   return out;
 }
 
@@ -381,12 +402,7 @@ void Mpi::store(void* ptr, std::span<const std::byte> data, const char* what) {
 void Mpi::fill_p2p_site(P2pCall& call, const std::source_location& loc) {
   call.site_file = loc.file_name();
   call.site_line = static_cast<int>(loc.line());
-  {
-    std::ostringstream key;
-    key << loc.file_name() << ':' << loc.line() << ":p2p:"
-        << static_cast<int>(call.kind);
-    call.site_id = static_cast<std::uint32_t>(fnv1a(key.str()));
-  }
+  call.site_id = site_hash(loc, "p2p:", static_cast<int>(call.kind));
   call.invocation = invocations_[call.site_id]++;
   call.rank = world_->comm_rank_of(call.comm, world_rank_);
 }
@@ -475,8 +491,7 @@ void Mpi::recv(void* buf, std::int32_t count, Datatype dtype, int source,
   const std::size_t bytes =
       static_cast<std::size_t>(call.count) * datatype_size(call.datatype);
   const std::uint64_t transport_tag = p2p_tag(call.comm, call.tag);
-  std::vector<std::byte> payload =
-      recv_internal(call.comm, call.peer, transport_tag);
+  const auto payload = recv_internal(call.comm, call.peer, transport_tag);
   if (payload.size() > bytes) {
     throw MpiError(MpiErrc::Truncate,
                    "message of " + std::to_string(payload.size()) +
@@ -545,9 +560,8 @@ void Mpi::wait(Request& request) {
   request.pending_.reset();
   const std::size_t bytes =
       static_cast<std::size_t>(pending.count) * datatype_size(pending.dtype);
-  std::vector<std::byte> payload =
-      recv_internal(pending.comm, pending.source,
-                    p2p_tag(pending.comm, pending.tag));
+  const auto payload = recv_internal(pending.comm, pending.source,
+                                    p2p_tag(pending.comm, pending.tag));
   if (payload.size() > bytes) {
     throw MpiError(MpiErrc::Truncate,
                    "message of " + std::to_string(payload.size()) +
@@ -570,7 +584,7 @@ void Mpi::dispatch(CollectiveCall& call, std::source_location loc) {
     // outputs instead of the algorithm — zero rendezvous.
     call.site_file = loc.file_name();
     call.site_line = static_cast<int>(loc.line());
-    call.site_id = site_hash(loc, call.kind);
+    call.site_id = site_hash(loc, "", static_cast<int>(call.kind));
     call.invocation = invocations_[call.site_id]++;
     call.rank = world_->comm_rank_of(call.comm, world_rank_);
     replay_collective(call);
@@ -587,7 +601,7 @@ void Mpi::dispatch(CollectiveCall& call, std::source_location loc) {
   }
   call.site_file = loc.file_name();
   call.site_line = static_cast<int>(loc.line());
-  call.site_id = site_hash(loc, call.kind);
+  call.site_id = site_hash(loc, "", static_cast<int>(call.kind));
   call.invocation = invocations_[call.site_id]++;
   call.rank = world_->comm_rank_of(call.comm, world_rank_);
 

@@ -94,7 +94,7 @@ class Mpi {
   /// trial runner installs one per rank (backed by the rank's trace
   /// context); its result is folded into the pending-op signature that
   /// hang verdicts and autopsies report. Must only be called from this
-  /// rank's own thread.
+  /// rank's own fiber.
   struct StackProbe {
     std::uint64_t stack_id = 0;
     std::string frame;  ///< innermost shadow frame name
@@ -282,18 +282,24 @@ class Mpi {
   struct Detail;
 
   /// Sends raw bytes to `dest` (rank within `comm`) under a fully formed
-  /// transport tag.
+  /// transport tag. The payload's storage travels with the message.
   void send_internal(Comm comm, int dest, std::uint64_t tag,
                      std::vector<std::byte> payload);
 
   /// Receives raw bytes from `source` (rank within `comm`); blocks until
-  /// matched, the watchdog deadline, or world poisoning.
-  std::vector<std::byte> recv_internal(Comm comm, int source,
-                                       std::uint64_t tag);
+  /// matched, the watchdog deadline, or world poisoning. The view stays
+  /// valid until this rank's next receive, which reuses its storage.
+  std::span<const std::byte> recv_internal(Comm comm, int source,
+                                           std::uint64_t tag);
 
-  /// Reads `bytes` from an application buffer through the bounds registry.
+  /// Reads `bytes` from an application buffer through the bounds registry,
+  /// into recycled payload storage.
   std::vector<std::byte> pack(const void* ptr, std::size_t bytes,
                               const char* what);
+
+  /// A copy of `bytes` in recycled payload storage, to send a buffer the
+  /// algorithm keeps using.
+  std::vector<std::byte> copy_payload(std::span<const std::byte> bytes);
 
   /// Writes bytes into an application buffer through the bounds registry.
   void store(void* ptr, std::span<const std::byte> data, const char* what);
@@ -378,6 +384,8 @@ class Mpi {
   /// Messages a transport fault held for delayed delivery: (destination
   /// world rank, message). Rank-local; flushed by flush_held().
   std::vector<std::pair<int, Message>> held_;
+  /// Storage of the payload recv_internal last returned a view of.
+  std::vector<std::byte> inbound_;
 };
 
 }  // namespace fastfit::mpi

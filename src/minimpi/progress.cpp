@@ -31,31 +31,25 @@ std::string PendingSig::describe() const {
   return out.str();
 }
 
-ProgressTable::ProgressTable(int nranks) {
-  slots_.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) slots_.push_back(std::make_unique<Slot>());
-}
+ProgressTable::ProgressTable(int nranks)
+    : slots_(static_cast<std::size_t>(nranks)) {}
 
 void ProgressTable::bump(int rank) {
-  auto& slot = *slots_.at(static_cast<std::size_t>(rank));
-  std::lock_guard lock(slot.mutex);
-  ++slot.heartbeat;
+  ++slots_.at(static_cast<std::size_t>(rank)).heartbeat;
 }
 
-void ProgressTable::publish_op(int rank, const PendingSig& sig) {
-  auto& slot = *slots_.at(static_cast<std::size_t>(rank));
-  std::lock_guard lock(slot.mutex);
+void ProgressTable::publish_op(int rank, PendingSig sig) {
+  auto& slot = slots_.at(static_cast<std::size_t>(rank));
   ++slot.heartbeat;
   slot.phase = RankPhase::Computing;
   slot.has_op = true;
-  slot.sig = sig;
+  slot.sig = std::move(sig);
 }
 
 void ProgressTable::publish_wait(int rank, int wait_source,
                                  int wait_source_world,
                                  std::uint64_t wait_tag) {
-  auto& slot = *slots_.at(static_cast<std::size_t>(rank));
-  std::lock_guard lock(slot.mutex);
+  auto& slot = slots_.at(static_cast<std::size_t>(rank));
   ++slot.heartbeat;
   slot.phase = RankPhase::Blocked;
   slot.has_op = true;
@@ -65,42 +59,21 @@ void ProgressTable::publish_wait(int rank, int wait_source,
 }
 
 void ProgressTable::publish_resume(int rank) {
-  auto& slot = *slots_.at(static_cast<std::size_t>(rank));
-  std::lock_guard lock(slot.mutex);
+  auto& slot = slots_.at(static_cast<std::size_t>(rank));
   ++slot.heartbeat;
   slot.phase = RankPhase::Computing;
 }
 
 void ProgressTable::publish_exited(int rank) {
-  auto& slot = *slots_.at(static_cast<std::size_t>(rank));
-  std::lock_guard lock(slot.mutex);
+  auto& slot = slots_.at(static_cast<std::size_t>(rank));
   ++slot.heartbeat;
   if (slot.phase != RankPhase::Dead) slot.phase = RankPhase::Exited;
 }
 
 void ProgressTable::publish_dead(int rank) {
-  auto& slot = *slots_.at(static_cast<std::size_t>(rank));
-  std::lock_guard lock(slot.mutex);
+  auto& slot = slots_.at(static_cast<std::size_t>(rank));
   ++slot.heartbeat;
   slot.phase = RankPhase::Dead;
-}
-
-RankSnapshot ProgressTable::snapshot(int rank) const {
-  const auto& slot = *slots_.at(static_cast<std::size_t>(rank));
-  std::lock_guard lock(slot.mutex);
-  RankSnapshot snap;
-  snap.phase = slot.phase;
-  snap.heartbeat = slot.heartbeat;
-  snap.has_op = slot.has_op;
-  snap.sig = slot.sig;
-  return snap;
-}
-
-std::vector<RankSnapshot> ProgressTable::snapshot_all() const {
-  std::vector<RankSnapshot> snaps;
-  snaps.reserve(slots_.size());
-  for (int r = 0; r < size(); ++r) snaps.push_back(snapshot(r));
-  return snaps;
 }
 
 WorldAutopsy build_autopsy(const ProgressTable& table, bool deterministic,
@@ -110,7 +83,7 @@ WorldAutopsy build_autopsy(const ProgressTable& table, bool deterministic,
   autopsy.verdict = std::move(verdict);
   autopsy.ranks.reserve(static_cast<std::size_t>(table.size()));
   for (int r = 0; r < table.size(); ++r) {
-    const auto snap = table.snapshot(r);
+    const auto& snap = table.snapshot(r);
     RankAutopsy entry;
     entry.rank = r;
     entry.phase = snap.phase;

@@ -19,8 +19,6 @@
 // reports and the journal.
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,8 +61,9 @@ struct RankSnapshot {
   PendingSig sig;
 };
 
-/// The table itself: one slot per rank, each guarded by its own mutex so
-/// publishes are rank-local and readers see a consistent slot.
+/// The table itself: one slot per rank. Ranks publish and the idle handler
+/// reads on the world's one thread (minimpi/world.hpp), so slots take no
+/// lock.
 class ProgressTable {
  public:
   explicit ProgressTable(int nranks);
@@ -76,7 +75,7 @@ class ProgressTable {
   void bump(int rank);
 
   /// Entering an operation: signature replaced, phase Computing.
-  void publish_op(int rank, const PendingSig& sig);
+  void publish_op(int rank, PendingSig sig);
 
   /// Entering a mailbox wait inside the current operation.
   void publish_wait(int rank, int wait_source, int wait_source_world,
@@ -93,19 +92,13 @@ class ProgressTable {
   /// Fail-stop death: terminal, peer-visible via snapshot().
   void publish_dead(int rank);
 
-  RankSnapshot snapshot(int rank) const;
-  std::vector<RankSnapshot> snapshot_all() const;
+  const RankSnapshot& snapshot(int rank) const {
+    return slots_.at(static_cast<std::size_t>(rank));
+  }
+  std::vector<RankSnapshot> snapshot_all() const { return slots_; }
 
  private:
-  struct Slot {
-    mutable std::mutex mutex;
-    std::uint64_t heartbeat = 0;
-    RankPhase phase = RankPhase::Computing;
-    bool has_op = false;
-    PendingSig sig;
-  };
-  // unique_ptr: stable addresses, Slot holds a mutex and cannot move.
-  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<RankSnapshot> slots_;
 };
 
 /// Per-rank entry of a world autopsy.

@@ -161,7 +161,6 @@ void PrefixRecorder::record_recv(int world_rank, const P2pCall& call,
 }
 
 void PrefixRecorder::mark_unsupported(const std::string& why) {
-  std::lock_guard lock(unsupported_mutex_);
   if (!unsupported_) {
     unsupported_ = true;
     why_ = why;
@@ -173,11 +172,8 @@ std::shared_ptr<const WorldRecording> PrefixRecorder::finish() {
   recording->nranks = static_cast<int>(ops_.size());
   recording->ops = std::move(ops_);
   ops_.assign(recording->ops.size(), {});
-  {
-    std::lock_guard lock(unsupported_mutex_);
-    recording->replayable = !unsupported_;
-    recording->unsupported_reason = why_;
-  }
+  recording->replayable = !unsupported_;
+  recording->unsupported_reason = why_;
   recording->payload_bytes = chunks_.unique_bytes();
   for (const auto& stream : recording->ops) {
     recording->total_ops += stream.size();

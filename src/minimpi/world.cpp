@@ -37,12 +37,10 @@ WorldState::WorldState(const WorldOptions& options)
   }
   doomed_ = std::make_unique<std::atomic<bool>[]>(
       static_cast<std::size_t>(options_.nranks));
-  dead_ = std::make_unique<std::atomic<bool>[]>(
-      static_cast<std::size_t>(options_.nranks));
+  dead_.assign(static_cast<std::size_t>(options_.nranks), false);
   for (int r = 0; r < options_.nranks; ++r) {
     doomed_[static_cast<std::size_t>(r)].store(false,
                                                std::memory_order_relaxed);
-    dead_[static_cast<std::size_t>(r)].store(false, std::memory_order_relaxed);
     mailboxes_[static_cast<std::size_t>(r)]->set_doom(
         r, &doomed_[static_cast<std::size_t>(r)]);
   }
@@ -50,7 +48,7 @@ WorldState::WorldState(const WorldOptions& options)
   for (int r = 0; r < options_.nranks; ++r) {
     everyone[static_cast<std::size_t>(r)] = r;
   }
-  comms_.push_back(CommEntry{std::move(everyone)});
+  comms_.push_back(CommEntry{everyone, everyone});
   comm_keys_.emplace("world", 0);
 }
 
@@ -79,7 +77,8 @@ void WorldState::kill_rank(int world_rank) {
   doomed_[static_cast<std::size_t>(world_rank)].store(
       true, std::memory_order_release);
   // Wake the victim if it is parked in a mailbox wait; receive() rechecks
-  // the doom flag on wake and raises RankKilled on the victim's fiber.
+  // the doom flag on wake and raises RankKilled on the victim's fiber. From
+  // another thread the wake travels through the scheduler's inbox.
   mailbox(world_rank).wake();
 }
 
@@ -94,18 +93,17 @@ std::vector<int> WorldState::alive_members() const {
 
 bool WorldState::comm_revoked(Comm comm) const noexcept {
   if (!poison_.revoked_flag.load(std::memory_order_acquire)) return false;
-  return handle_index(raw(comm)) <
-         revoked_comm_limit_.load(std::memory_order_acquire);
+  return handle_index(raw(comm)) < revoked_comm_limit_;
 }
 
 void WorldState::report_rank_death(int rank, const RankKilled& event) {
   // Publish the death before capturing so the autopsy and any peer
   // analysis ("blocked on dead peer") see the Dead phase.
   progress_.publish_dead(rank);
-  const bool first =
-      !dead_[static_cast<std::size_t>(rank)].exchange(
-          true, std::memory_order_acq_rel);
-  if (first) dead_count_.fetch_add(1, std::memory_order_acq_rel);
+  if (!dead_[static_cast<std::size_t>(rank)]) {
+    dead_[static_cast<std::size_t>(rank)] = true;
+    ++dead_count_;
+  }
 
   if (!options_.repair) {
     capture_event(rank, event, std::nullopt);
@@ -116,10 +114,7 @@ void WorldState::report_rank_death(int rank, const RankKilled& event) {
   // shrunken communicator survivors build afterwards gets a larger table
   // index and is exempt.
   capture_event(rank, event, std::nullopt, /*poison=*/false);
-  {
-    std::lock_guard lock(comm_mutex_);
-    revoked_comm_limit_.store(comms_.size(), std::memory_order_release);
-  }
+  revoked_comm_limit_ = comms_.size();
   poison_.revoke();
   for (auto& mailbox : mailboxes_) mailbox->wake();
 }
@@ -127,53 +122,50 @@ void WorldState::report_rank_death(int rank, const RankKilled& event) {
 void WorldState::capture_event(int rank, const FaultEvent& event,
                                std::optional<WorldAutopsy> autopsy,
                                bool poison) {
-  {
-    std::lock_guard lock(event_mutex_);
-    if (!event_) {
-      CapturedEvent captured;
-      captured.rank = rank;
-      captured.message = event.what();
-      if (const auto* mpi_error = dynamic_cast<const MpiError*>(&event)) {
-        captured.type = EventType::MpiErr;
-        captured.mpi_code = mpi_error->code();
-      } else if (dynamic_cast<const SimSegFault*>(&event) != nullptr) {
-        captured.type = EventType::SegFault;
-      } else if (dynamic_cast<const AppError*>(&event) != nullptr) {
-        captured.type = EventType::AppDetected;
-      } else if (dynamic_cast<const SimTimeout*>(&event) != nullptr) {
-        captured.type = EventType::Timeout;
-      } else if (dynamic_cast<const RankKilled*>(&event) != nullptr) {
-        captured.type = EventType::RankDead;
-      } else {
-        // WorldAborted never initiates; anything else is a library bug.
-        throw InternalError(std::string("report_event: unexpected event: ") +
-                            event.what());
-      }
-      if (auto& rec = telemetry::Recorder::instance();
-          rec.enabled() && captured.type == EventType::Timeout) {
-        // A proven deadlock and a watchdog expiry are different verdicts:
-        // the first is structural, the second wall-clock.
-        if (autopsy && autopsy->deterministic) {
-          rec.instant("deadlock-proven", telemetry::Track::Monitor, 0,
-                      "rank=" + std::to_string(rank));
-          static auto& proven =
-              rec.counter("fastfit_deadlocks_proven_total",
-                          "Structurally proven deadlocks");
-          proven.add();
-        } else {
-          rec.instant("watchdog-fire", telemetry::Track::Monitor, 0,
-                      "rank=" + std::to_string(rank));
-          static auto& fires = rec.counter("fastfit_watchdog_fires_total",
-                                           "Wall-clock watchdog expiries");
-          fires.add();
-        }
-      }
-      event_ = std::move(captured);
-      // Attach forensics at poison time: either the deadlock verdict's
-      // snapshot, or a live snapshot of the progress table as-is.
-      autopsy_ = autopsy ? std::move(autopsy)
-                         : build_autopsy(progress_, false, event.what());
+  if (!event_) {
+    CapturedEvent captured;
+    captured.rank = rank;
+    captured.message = event.what();
+    if (const auto* mpi_error = dynamic_cast<const MpiError*>(&event)) {
+      captured.type = EventType::MpiErr;
+      captured.mpi_code = mpi_error->code();
+    } else if (dynamic_cast<const SimSegFault*>(&event) != nullptr) {
+      captured.type = EventType::SegFault;
+    } else if (dynamic_cast<const AppError*>(&event) != nullptr) {
+      captured.type = EventType::AppDetected;
+    } else if (dynamic_cast<const SimTimeout*>(&event) != nullptr) {
+      captured.type = EventType::Timeout;
+    } else if (dynamic_cast<const RankKilled*>(&event) != nullptr) {
+      captured.type = EventType::RankDead;
+    } else {
+      // WorldAborted never initiates; anything else is a library bug.
+      throw InternalError(std::string("report_event: unexpected event: ") +
+                          event.what());
     }
+    if (auto& rec = telemetry::Recorder::instance();
+        rec.enabled() && captured.type == EventType::Timeout) {
+      // A proven deadlock and a watchdog expiry are different verdicts:
+      // the first is structural, the second wall-clock.
+      if (autopsy && autopsy->deterministic) {
+        rec.instant("deadlock-proven", telemetry::Track::Monitor, 0,
+                    "rank=" + std::to_string(rank));
+        static auto& proven =
+            rec.counter("fastfit_deadlocks_proven_total",
+                        "Structurally proven deadlocks");
+        proven.add();
+      } else {
+        rec.instant("watchdog-fire", telemetry::Track::Monitor, 0,
+                    "rank=" + std::to_string(rank));
+        static auto& fires = rec.counter("fastfit_watchdog_fires_total",
+                                         "Wall-clock watchdog expiries");
+        fires.add();
+      }
+    }
+    event_ = std::move(captured);
+    // Attach forensics at poison time: either the deadlock verdict's
+    // snapshot, or a live snapshot of the progress table as-is.
+    autopsy_ = autopsy ? std::move(autopsy)
+                       : build_autopsy(progress_, false, event.what());
   }
   if (poison) poison_and_wake();
 }
@@ -183,7 +175,6 @@ Comm WorldState::register_comm(const std::string& key,
   if (members.empty()) {
     throw InternalError("register_comm: empty member list");
   }
-  std::lock_guard lock(comm_mutex_);
   if (auto it = comm_keys_.find(key); it != comm_keys_.end()) {
     const auto& existing = comms_[it->second].members;
     if (existing != members) {
@@ -199,25 +190,55 @@ Comm WorldState::register_comm(const std::string& key,
   if (index > kIndexMask) {
     throw InternalError("register_comm: communicator table exhausted");
   }
-  comms_.push_back(CommEntry{std::move(members)});
+  std::vector<int> rank_of(static_cast<std::size_t>(options_.nranks), -1);
+  for (std::size_t i = members.size(); i-- > 0;) {
+    // Backwards, so a repeated member maps to its first position.
+    const int world_rank = members[i];
+    if (world_rank >= 0 && world_rank < options_.nranks) {
+      rank_of[static_cast<std::size_t>(world_rank)] = static_cast<int>(i);
+    }
+  }
+  comms_.push_back(CommEntry{std::move(members), std::move(rank_of)});
   comm_keys_.emplace(key, index);
   return make_comm(index);
 }
 
-const std::vector<int>& WorldState::group_of(Comm comm) const {
+const WorldState::CommEntry& WorldState::comm_entry(Comm comm) const {
   const RawHandle h = raw(comm);
-  std::lock_guard lock(comm_mutex_);
   if (!has_magic(h, kCommMagic) || handle_index(h) >= comms_.size()) {
     throw MpiError(MpiErrc::InvalidComm, "handle 0x" + std::to_string(h));
   }
-  return comms_[handle_index(h)].members;
+  return comms_[handle_index(h)];
+}
+
+const std::vector<int>& WorldState::group_of(Comm comm) const {
+  return comm_entry(comm).members;
 }
 
 int WorldState::comm_rank_of(Comm comm, int world_rank) const {
-  const auto& members = group_of(comm);
-  const auto it = std::find(members.begin(), members.end(), world_rank);
-  if (it == members.end()) return -1;
-  return static_cast<int>(it - members.begin());
+  const auto& entry = comm_entry(comm);
+  if (world_rank < 0 || world_rank >= options_.nranks) return -1;
+  return entry.rank_of[static_cast<std::size_t>(world_rank)];
+}
+
+std::vector<std::byte> WorldState::take_payload() {
+  if (spare_payloads_.empty()) return {};
+  std::vector<std::byte> storage = std::move(spare_payloads_.back());
+  spare_payloads_.pop_back();
+  return storage;
+}
+
+void WorldState::recycle_payload(std::vector<std::byte> storage) {
+  // Small buffers only, and a bounded number: the pool saves allocations
+  // on the chatty small-message paths without pinning large transfers.
+  constexpr std::size_t kMaxSpareBytes = 4096;
+  constexpr std::size_t kMaxSpares = 1024;
+  if (storage.capacity() == 0 || storage.capacity() > kMaxSpareBytes ||
+      spare_payloads_.size() >= kMaxSpares) {
+    return;
+  }
+  storage.clear();
+  spare_payloads_.push_back(std::move(storage));
 }
 
 void WorldState::declare_deadlock(const std::vector<RankSnapshot>& snaps) {
@@ -264,7 +285,7 @@ void WorldState::fiber_idle(FiberScheduler& sched) {
     bool wake =
         rank_doomed(r) || poison_.flag.load(std::memory_order_acquire);
     if (!wake) {
-      const auto snap = progress_.snapshot(r);
+      const auto& snap = progress_.snapshot(r);
       wake = snap.has_op && snap.sig.wait_source >= 0 &&
              mailbox(r).has_match(snap.sig.wait_source, snap.sig.wait_tag);
     }
@@ -368,12 +389,14 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
 
   sched.run(body, [&state, &sched] { state->fiber_idle(sched); });
 
-  // Detach the wake routing under each mailbox's mutex before the
-  // scheduler leaves this frame: a late cross-thread kill_rank can then
-  // only ever see a null hook, never a dangling one.
+  // Detach the wake routing before the scheduler leaves this frame: a late
+  // cross-thread kill_rank or delivery then finds no scheduler, never a
+  // dangling one. Tasks posted before the detach still run here, so a
+  // foreign delivery is never lost from the transport audit.
   for (int r = 0; r < nranks; ++r) {
     state->mailbox(r).set_fiber_waker(nullptr, -1);
   }
+  sched.drain_inbox();
 
   WorldResult result;
 
@@ -385,17 +408,12 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
     result.undelivered_messages += mailbox->pending();
   }
 
-  const int dead = state->dead_count_.load(std::memory_order_acquire);
+  const int dead = state->dead_count_;
   result.rank_died = dead > 0;
-  result.repaired =
-      state->options_.repair && dead > 0 &&
-      state->repaired_count_.load(std::memory_order_acquire) == nranks - dead;
-
-  {
-    std::lock_guard lock(state->event_mutex_);
-    result.event = state->event_;
-    result.autopsy = state->autopsy_;
-  }
+  result.repaired = state->options_.repair && dead > 0 &&
+                    state->repaired_count_ == nranks - dead;
+  result.event = state->event_;
+  result.autopsy = state->autopsy_;
   return result;
 }
 

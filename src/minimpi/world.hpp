@@ -23,6 +23,14 @@
 // A fiber never outlives run(): every rank unwinds before it returns, and
 // WorldResult carries a post-trial audit of the memory registries and
 // mailbox queues.
+//
+// Threading: a world is confined to the thread that calls run(). The
+// communicator table, progress table, memory registries, mailbox queues
+// and event capture are touched only from that thread and take no lock.
+// The cross-thread entries — kill_rank, a poison followed by
+// Mailbox::wake, and a Mailbox::deliver from another thread — set an
+// atomic flag and/or post to the scheduler's inbox (minimpi/fiber.hpp),
+// which the world's thread drains.
 
 #include <atomic>
 #include <chrono>
@@ -30,7 +38,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -173,6 +180,7 @@ class WorldState {
   /// Marks `world_rank` doomed: its next transport wait, deadline check,
   /// or collective dispatch raises RankKilled on its own fiber. The
   /// injector's rank-death manifestation and tests use this primitive.
+  /// Callable from any thread.
   void kill_rank(int world_rank);
 
   /// Whether kill_rank / a fail-stop fault has doomed this rank (polled by
@@ -184,8 +192,7 @@ class WorldState {
 
   /// Whether this rank's death has been reported.
   bool rank_dead(int world_rank) const noexcept {
-    return dead_[static_cast<std::size_t>(world_rank)].load(
-        std::memory_order_acquire);
+    return dead_[static_cast<std::size_t>(world_rank)];
   }
 
   /// World ranks whose death has not been reported, in rank order: the
@@ -199,9 +206,7 @@ class WorldState {
 
   /// A survivor completed its repair hook; when every survivor has, the
   /// world result reports repaired=true (outcome REPAIRED).
-  void mark_repaired() noexcept {
-    repaired_count_.fetch_add(1, std::memory_order_acq_rel);
-  }
+  void mark_repaired() noexcept { ++repaired_count_; }
 
   /// Communicator registry. A communicator is a list of world ranks.
   /// `register_comm` is idempotent on `key`: all members of a new
@@ -214,8 +219,14 @@ class WorldState {
   /// that does not name a live communicator of this world.
   const std::vector<int>& group_of(Comm comm) const;
 
-  /// Rank of `world_rank` within `comm`, or -1 if not a member.
+  /// Rank of `world_rank` within `comm`, or -1 if not a member. O(1).
   int comm_rank_of(Comm comm, int world_rank) const;
+
+  /// Message payload storage, recycled within the world: a receiver hands
+  /// back the storage of each message it consumes and the next packed
+  /// message reuses it, so steady-state traffic does not allocate.
+  std::vector<std::byte> take_payload();
+  void recycle_payload(std::vector<std::byte> storage);
 
  private:
   friend class World;
@@ -248,28 +259,33 @@ class WorldState {
   ProgressTable progress_;
   std::chrono::steady_clock::time_point deadline_{};
 
-  std::mutex event_mutex_;
   std::optional<CapturedEvent> event_;
   std::optional<WorldAutopsy> autopsy_;
 
-  mutable std::mutex comm_mutex_;
   struct CommEntry {
     std::vector<int> members;
+    /// World rank -> rank in this communicator (-1 = not a member).
+    std::vector<int> rank_of;
   };
+  /// The entry a handle names; throws MpiError(InvalidComm) otherwise.
+  const CommEntry& comm_entry(Comm comm) const;
   std::vector<CommEntry> comms_;
   std::map<std::string, RawHandle> comm_keys_;
+
+  std::vector<std::vector<std::byte>> spare_payloads_;
 
   ToolHooks* tools_ = nullptr;
 
   // Fail-stop bookkeeping: doomed_ is the kill signal a rank polls at its
-  // cancellation points; dead_ records reported deaths; revoked_comm_limit_
-  // is the size of the communicator table at revocation time (older
-  // handles are revoked, newer — the shrunken comm — are exempt).
+  // cancellation points (atomic: kill_rank may come from another thread);
+  // dead_ records reported deaths; revoked_comm_limit_ is the size of the
+  // communicator table at revocation time (older handles are revoked,
+  // newer — the shrunken comm — are exempt).
   std::unique_ptr<std::atomic<bool>[]> doomed_;
-  std::unique_ptr<std::atomic<bool>[]> dead_;
-  std::atomic<int> dead_count_{0};
-  std::atomic<int> repaired_count_{0};
-  std::atomic<std::size_t> revoked_comm_limit_{0};
+  std::vector<bool> dead_;
+  int dead_count_ = 0;
+  int repaired_count_ = 0;
+  std::size_t revoked_comm_limit_ = 0;
 
   // Internal (non-fault) exception escaping a rank.
   std::exception_ptr internal_error_;
@@ -318,6 +334,7 @@ class World {
   }
   /// Fail-stop test primitive: dooms one rank; it dies at its next
   /// cancellation point (transport wait, deadline check, dispatch).
+  /// Callable from any thread.
   void kill_rank(int world_rank) { state_->kill_rank(world_rank); }
   Comm register_comm(const std::string& key, std::vector<int> members) {
     return state_->register_comm(key, std::move(members));

@@ -14,8 +14,7 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-std::uint64_t fnv1a(std::string_view text) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a(std::string_view text, std::uint64_t hash) noexcept {
   for (unsigned char c : text) {
     hash ^= c;
     hash *= 0x100000001b3ULL;

@@ -18,8 +18,14 @@ namespace fastfit {
 /// 64-bit SplitMix step; used to derive stream seeds from a master seed.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+/// FNV-1a 64-bit offset basis: the hash of the empty string.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
 /// Stable FNV-1a hash of a string; used to fold stream names into seeds.
-std::uint64_t fnv1a(std::string_view text) noexcept;
+/// Passing a previous result as `hash` continues it, so
+/// fnv1a(b, fnv1a(a)) == fnv1a(a + b) and a key can be hashed piecewise.
+std::uint64_t fnv1a(std::string_view text,
+                    std::uint64_t hash = kFnv1aBasis) noexcept;
 
 /// A self-contained deterministic random stream.
 ///

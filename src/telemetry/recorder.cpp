@@ -144,8 +144,8 @@ Recorder& Recorder::instance() {
   return *recorder;
 }
 
-std::int64_t Recorder::now_us() const noexcept {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
+std::int64_t Recorder::now_ns() const noexcept {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - epoch_)
       .count();
 }
@@ -256,9 +256,16 @@ std::vector<Event> Recorder::drain_events() {
   buffered_.fetch_sub(std::min(events.size(),
                                buffered_.load(std::memory_order_relaxed)),
                       std::memory_order_relaxed);
+  // A span is recorded when it closes, after every span it encloses, so
+  // among spans with identical [start, end] intervals the later-recorded
+  // one is the parent: reverse before the stable sort to put it first.
+  std::reverse(events.begin(), events.end());
   std::stable_sort(events.begin(), events.end(),
                    [](const Event& a, const Event& b) {
-                     return a.start_us < b.start_us;
+                     if (a.start_us != b.start_us) {
+                       return a.start_us < b.start_us;
+                     }
+                     return a.dur_us > b.dur_us;
                    });
   return events;
 }
@@ -323,7 +330,7 @@ ScopedSpan::ScopedSpan(const char* name) : name_(name) {
   const auto info = Recorder::thread_info();
   track_ = info.track;
   index_ = info.index;
-  start_us_ = rec.now_us();
+  start_ns_ = rec.now_ns();
   active_ = true;
 }
 
@@ -335,7 +342,7 @@ ScopedSpan::ScopedSpan(const char* name, Track track, int index)
     const auto info = Recorder::thread_info();
     if (info.track == Track::Executor) world_lane_ = info.index;
   }
-  start_us_ = rec.now_us();
+  start_ns_ = rec.now_ns();
   active_ = true;
 }
 
@@ -353,8 +360,9 @@ void ScopedSpan::finish() {
   auto& rec = Recorder::instance();
   Event event;
   event.name = name_;
-  event.start_us = start_us_;
-  event.dur_us = rec.now_us() - start_us_;
+  const std::int64_t end_ns = rec.now_ns();
+  event.start_us = start_ns_ / 1000;
+  event.dur_us = end_ns / 1000 - event.start_us;
   event.track = track_;
   event.index = index_;
   event.args = std::move(args_);

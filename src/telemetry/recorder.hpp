@@ -185,8 +185,10 @@ class Recorder {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Microseconds since the recorder epoch (process start, steady clock).
-  std::int64_t now_us() const noexcept;
+  /// Nanoseconds since the recorder epoch (process start, steady clock).
+  std::int64_t now_ns() const noexcept;
+  /// now_ns() truncated to microseconds, the unit events are stored in.
+  std::int64_t now_us() const noexcept { return now_ns() / 1000; }
 
   /// Appends an event to the calling thread's buffer. No-op when
   /// disabled or when the process-wide event cap is reached (counted in
@@ -217,7 +219,9 @@ class Recorder {
   LatencyHistogram& latency(std::string_view name, std::string_view help);
 
   /// Moves every buffered event out of every thread buffer (live and
-  /// retired), in start-time order.
+  /// retired), in start-time order. Events that start in the same
+  /// microsecond sort longest first, and spans with identical intervals
+  /// latest-closed first, so a parent precedes the children it encloses.
   std::vector<Event> drain_events();
 
   /// Labels for every lane that bound itself via bind_thread.
@@ -269,7 +273,10 @@ class Recorder {
 /// RAII span: captures the start time at construction (when the recorder
 /// is enabled) and records the completed event at destruction. A span
 /// constructed while disabled stays inert even if the recorder is
-/// enabled later — a half-measured span would be a lie.
+/// enabled later — a half-measured span would be a lie. Both endpoints are
+/// read in nanoseconds and truncated to microseconds the same way, so a
+/// span that nests inside another in time also nests in the recorded
+/// [start_us, start_us + dur_us] intervals.
 class ScopedSpan {
  public:
   /// Span on the calling thread's bound lane.
@@ -293,7 +300,7 @@ class ScopedSpan {
 
  private:
   const char* name_;
-  std::int64_t start_us_ = 0;
+  std::int64_t start_ns_ = 0;
   Track track_ = Track::Main;
   int index_ = -1;
   int world_lane_ = -1;

@@ -26,12 +26,19 @@ const char* to_string(ExecPhase phase) noexcept;
 
 class RankContext {
  public:
-  /// Enters an application function: records the call-graph edge and
-  /// pushes the shadow frame. Prefer FunctionScope.
+  /// Enters an application function: records the call-graph edge (when
+  /// recording is on) and pushes the shadow frame. Prefer FunctionScope.
   void enter_function(std::string_view name) {
-    graph_.add_call(std::string(stack_.innermost()), std::string(name));
+    if (record_call_graph_) {
+      graph_.add_call(std::string(stack_.innermost()), std::string(name));
+    }
     stack_.enter(name);
   }
+
+  /// Call-graph recording (on by default). Only the profiling run reads
+  /// the graph, so the other runs of a campaign turn it off.
+  void set_record_call_graph(bool on) noexcept { record_call_graph_ = on; }
+
   void leave_function() { stack_.leave(); }
 
   const ShadowStack& stack() const noexcept { return stack_; }
@@ -53,6 +60,7 @@ class RankContext {
   CommTrace comm_trace_;
   ExecPhase phase_ = ExecPhase::Init;
   int errhal_depth_ = 0;
+  bool record_call_graph_ = true;
 };
 
 /// RAII function frame that maintains both the shadow stack and the call
@@ -86,12 +94,16 @@ class ErrorHandlingScope {
 
 /// One RankContext per world rank, shared between the workload (writer)
 /// and the tool hooks (readers). Indexing is wait-free; each rank touches
-/// only its own slot.
+/// only its own slot. `record_call_graph` = false skips the call-graph
+/// edges, which only the profiling run reads.
 class ContextRegistry {
  public:
-  explicit ContextRegistry(int nranks)
+  explicit ContextRegistry(int nranks, bool record_call_graph = true)
       : contexts_(static_cast<std::size_t>(nranks)) {
-    for (auto& c : contexts_) c = std::make_unique<RankContext>();
+    for (auto& c : contexts_) {
+      c = std::make_unique<RankContext>();
+      c->set_record_call_graph(record_call_graph);
+    }
   }
 
   RankContext& of(int rank) {

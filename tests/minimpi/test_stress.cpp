@@ -164,7 +164,10 @@ TEST(Stress, FiberPoolHoldsOsThreadCountAtLaneWidth) {
   // The tentpole invariant, stated as an OS fact: 256 ranks are fibers
   // multiplexed on their trial's thread, so a pool of 4 lanes running
   // 256-rank worlds holds the whole process at <= baseline + 4 threads,
-  // not one thread per rank.
+  // not one thread per rank. A sanitizer runtime starts a helper thread
+  // with the process's first pthread_create; one throwaway thread lets the
+  // baseline count it.
+  std::thread([] {}).join();
   const std::size_t baseline = os_threads();
   std::atomic<std::size_t> peak{0};
   std::atomic<int> failures{0};

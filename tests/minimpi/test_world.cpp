@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <source_location>
+#include <string>
 #include <thread>
 
 #include "minimpi/mpi.hpp"
+#include "support/rng.hpp"
 
 namespace fastfit::mpi {
 namespace {
@@ -175,6 +178,106 @@ TEST(World, RegisterCommInconsistentGroupIsCommError) {
   World world(small_world(4));
   world.register_comm("sub", {0, 2});
   EXPECT_THROW(world.register_comm("sub", {0, 3}), MpiError);
+}
+
+// Records the site id rank 0 sees for each kind of call.
+class SiteIdProbe final : public ToolHooks {
+ public:
+  void on_enter(CollectiveCall& call, Mpi& mpi) override {
+    if (mpi.world_rank() == 0) collective = call.site_id;
+  }
+  void on_exit(const CollectiveCall&, Mpi&) override {}
+  void on_p2p(P2pCall& call, Mpi& mpi) override {
+    if (mpi.world_rank() == 0) p2p = call.site_id;
+  }
+  std::uint32_t collective = 0;
+  std::uint32_t p2p = 0;
+};
+
+TEST(World, SiteIdsHashTheLegacyKeyText) {
+  // Site ids are stored in prefix recordings, journals and the golden
+  // fixtures, so they must stay FNV-1a of exactly these key strings.
+  SiteIdProbe probe;
+  World world(small_world(2));
+  world.set_tools(&probe);
+  std::source_location barrier_site;
+  std::source_location send_site;
+  const auto result = world.run([&](Mpi& mpi) {
+    const auto here = std::source_location::current();
+    mpi.barrier(kCommWorld, here);
+    RegisteredBuffer<std::int32_t> value(mpi.registry(), 1, 7);
+    const auto send_here = std::source_location::current();
+    if (mpi.world_rank() == 0) {
+      mpi.send(value.data(), 1, kInt32, 1, 5, kCommWorld, send_here);
+      barrier_site = here;
+      send_site = send_here;
+    } else {
+      mpi.recv(value.data(), 1, kInt32, 0, 5);
+    }
+  });
+  ASSERT_TRUE(result.clean());
+  const std::string barrier_key =
+      std::string(barrier_site.file_name()) + ":" +
+      std::to_string(barrier_site.line()) + ":" +
+      std::to_string(static_cast<int>(CollectiveKind::Barrier));
+  const std::string send_key =
+      std::string(send_site.file_name()) + ":" +
+      std::to_string(send_site.line()) + ":p2p:" +
+      std::to_string(static_cast<int>(P2pKind::Send));
+  EXPECT_EQ(probe.collective, static_cast<std::uint32_t>(fnv1a(barrier_key)));
+  EXPECT_EQ(probe.p2p, static_cast<std::uint32_t>(fnv1a(send_key)));
+}
+
+TEST(World, ForeignThreadWakesAndDeliveriesRaceRunAndTeardown) {
+  // A world is confined to the thread that runs it; another thread may
+  // only kill a rank, wake a mailbox or deliver to one. Here a second
+  // thread does all three continuously, from before the ranks start until
+  // after run() has returned, with the kill landing at a different moment
+  // in each iteration. Every world must end promptly, either clean (the
+  // kill came too late) or with the killed rank's death. Run under TSan in
+  // CI.
+  for (int i = 0; i < 200; ++i) {
+    WorldOptions opts = small_world(4);
+    opts.watchdog = 10000ms;
+    opts.hang_detection = i % 2 == 0;
+    World world(opts);
+    std::atomic<bool> finished{false};
+    const auto start = std::chrono::steady_clock::now();
+    std::thread poker([&world, &finished, i] {
+      const auto stray = [](int n) {
+        Message message;
+        message.source = 3;
+        message.tag = 0xdead0000u + static_cast<std::uint64_t>(n);
+        message.payload.resize(8);
+        return message;
+      };
+      int n = 0;
+      do {
+        world.mailbox(n % 4).deliver(stray(n));
+        world.mailbox((n + 1) % 4).wake();
+        if (n == i % 64) world.kill_rank(3);
+        ++n;
+      } while (!finished.load());
+      // After teardown every entry must be harmless.
+      world.kill_rank(2);
+      world.mailbox(1).wake();
+      world.mailbox(0).deliver(stray(n));
+    });
+    const auto result = world.run([](Mpi& mpi) {
+      for (int k = 0; k < 20; ++k) {
+        mpi.barrier();
+        mpi.check_deadline();
+      }
+    });
+    finished.store(true);
+    poker.join();
+    if (!result.clean()) {
+      EXPECT_EQ(result.event->type, EventType::RankDead) << "iteration " << i;
+      EXPECT_EQ(result.event->rank, 3) << "iteration " << i;
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start, 5000ms)
+        << "iteration " << i;
+  }
 }
 
 }  // namespace

@@ -93,6 +93,47 @@ TEST_F(RecorderTest, SpanRecordsCompleteEventOnBoundLane) {
   Recorder::bind_thread(Track::Main, -1, "campaign-main");
 }
 
+TEST_F(RecorderTest, ChildOpenedInParentsMicrosecondSortsAfterIt) {
+  // A child closes, and so is recorded, before its parent. When both open
+  // in the same microsecond, drain must still put the parent first.
+  auto& rec = Recorder::instance();
+  Event child;
+  child.name = "child";
+  child.start_us = 1000;
+  child.dur_us = 2;
+  Event parent;
+  parent.name = "parent";
+  parent.start_us = 1000;
+  parent.dur_us = 5;
+  Event marker;
+  marker.name = "marker";
+  marker.start_us = 1000;
+  rec.record(marker);
+  rec.record(child);
+  rec.record(parent);
+  const auto events = rec.drain_events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_STREQ(events[0].name, "parent");
+  EXPECT_STREQ(events[1].name, "child");
+  EXPECT_STREQ(events[2].name, "marker");
+
+  // Live spans opened back to back mostly share their start microsecond,
+  // and often their recorded duration too. The parent must still sort
+  // first, and the child's recorded interval must lie within the parent's.
+  for (int i = 0; i < 1000; ++i) {
+    {
+      ScopedSpan outer("outer");
+      ScopedSpan inner("inner");
+    }
+    const auto spans = rec.drain_events();
+    ASSERT_EQ(spans.size(), 2u);
+    ASSERT_STREQ(spans[0].name, "outer") << "iteration " << i;
+    EXPECT_GE(spans[1].start_us, spans[0].start_us);
+    EXPECT_LE(spans[1].start_us + spans[1].dur_us,
+              spans[0].start_us + spans[0].dur_us);
+  }
+}
+
 TEST_F(RecorderTest, SpanConstructedWhileDisabledStaysInert) {
   auto& rec = Recorder::instance();
   rec.disable();

@@ -56,6 +56,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -141,14 +142,40 @@ int usage() {
   return 1;
 }
 
-/// Minimal flag parser: --key value pairs plus boolean switches.
+/// Whether `command` accepts --`key`: its own flags, plus every study knob
+/// for study. An unknown flag (a typo, or one that was removed) is
+/// reported instead of silently ignored.
+bool known_flag(const std::string& command, const std::string& key) {
+  std::set<std::string> flags;
+  if (command == "profile") {
+    flags = {"ranks", "save", "passes"};
+  } else if (command == "p2p") {
+    flags = {"ranks", "trials", "points", "fault-model", "fault-models"};
+  } else if (command == "merge") {
+    flags = {"json", "csv", "metrics-out"};
+  } else {
+    flags = {"ranks", "trials", "threshold", "fault-model", "fault-models",
+             "repair", "no-ml", "csv", "json", "resume", "fragment"};
+    for (const auto& knob : config_knobs()) {
+      if (knob.flag[0] != '\0') flags.insert(knob.flag);
+    }
+  }
+  if (flags.count(key) > 0) return true;
+  std::fprintf(stderr, "error: unknown flag for %s: --%s\n", command.c_str(),
+               key.c_str());
+  return false;
+}
+
+/// Minimal flag parser: --key value pairs plus boolean switches. Only the
+/// flags `command` accepts are allowed.
 struct Args {
   std::map<std::string, std::string> values;
-  bool parse(int argc, char** argv, int first) {
+  bool parse(int argc, char** argv, int first, const std::string& command) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) return false;
       key = key.substr(2);
+      if (!known_flag(command, key)) return false;
       if (key == "no-ml" || key == "resume" || key == "progress") {
         values[key] = "1";
       } else {
@@ -483,7 +510,9 @@ int cmd_merge(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0) {
-      if (i + 1 >= argc) return usage();
+      if (i + 1 >= argc || !known_flag("merge", arg.substr(2))) {
+        return usage();
+      }
       args.values[arg.substr(2)] = argv[++i];
     } else {
       paths.push_back(std::move(arg));
@@ -665,7 +694,7 @@ int main(int argc, char** argv) {
     if (command == "profile" || command == "study" || command == "p2p") {
       if (argc < 3) return usage();
       Args args;
-      if (!args.parse(argc, argv, 3)) return usage();
+      if (!args.parse(argc, argv, 3, command)) return usage();
       if (command == "profile") return cmd_profile(argv[2], args);
       if (command == "p2p") return cmd_p2p(argv[2], args);
       return cmd_study(argv[2], args);
