@@ -45,8 +45,9 @@ int main() {
                 static_cast<unsigned long long>(e.stats.after_semantic),
                 static_cast<unsigned long long>(e.stats.after_context),
                 e.stats.equivalence_classes);
-    // Subsample the surviving points to bound wall clock (hung-trial cost
-    // is one watchdog each; tag/peer faults hang often by design).
+    // Subsample the surviving points to bound wall clock (a livelocked
+    // trial runs to its step budget; tag/peer faults hang often by
+    // design).
     auto points = e.points;
     RngStream rng(bench::bench_seed(), "p2p-sample", fnv1a(name));
     rng.shuffle(points);

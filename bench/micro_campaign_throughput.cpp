@@ -95,9 +95,8 @@ int main() {
               trials);
   // A trial runs all its rank fibers on one lane thread, so the
   // achievable speedup is ~min(pool, cores); on a single-core host the
-  // honest parallel path can only break even (results must not change,
-  // so contention-slowed trials run to completion instead of being
-  // clipped by the watchdog).
+  // honest parallel path can only break even (no outcome reads a clock,
+  // so contention slows trials without changing them).
 
   // Telemetry overhead: the identical serial batch with the recorder
   // live — trial/world/classify spans, outcome counters, the latency
@@ -157,8 +156,10 @@ int main() {
     const auto results = campaign.measure_many(points);
     const double sec = seconds_since(t1);
     const double tps = total_trials / sec;
-    // Executions beyond the job count are watchdog-confirmation re-runs.
-    const auto confirmations =
+    // Executions beyond the job count are wasted work: trials past a
+    // point's first internal failure that ran anyway under the pool (0
+    // on a healthy campaign).
+    const auto extra_runs =
         campaign.trials_run() - before - static_cast<std::uint64_t>(total_trials);
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (results[i].counts != serial[i].counts) {
@@ -173,16 +174,16 @@ int main() {
       }
     }
     std::printf("%-28s %8.1f trials/sec  (%.2fs, speedup %.2fx, "
-                "%llu confirmations)\n",
+                "%llu extra runs)\n",
                 ("measure_many(pool=" + std::to_string(pools[p]) + ")")
                     .c_str(),
                 tps, sec, tps / serial_tps,
-                static_cast<unsigned long long>(confirmations));
+                static_cast<unsigned long long>(extra_runs));
     if (p) json << ",";
     json << "\n    {\"max_parallel_trials\": " << pools[p]
          << ", \"trials_per_sec\": " << tps
          << ", \"speedup\": " << tps / serial_tps
-         << ", \"timeout_confirmations\": " << confirmations << "}";
+         << ", \"extra_runs\": " << extra_runs << "}";
   }
   // Journal write-through overhead: the same serial batch with a durable
   // trial journal attached (every outcome fsync-batched to disk), then a
@@ -277,31 +278,25 @@ int main() {
          << (shard_identical ? "true" : "false") << "}";
   }
 
-  // Hang-heavy section: time-to-classify INF_LOOP with deterministic hang
-  // detection on vs off. The section needs points that really hang: a
-  // Root/Comm bit flip only deadlocks when it lands on another valid rank
-  // or handle (5 of 32 bits for a root in a 32-rank world, almost never
-  // in a 4-rank one), so it runs on a wider LU with 32 trials per point
-  // and scouts the Root/Comm points with detection on, keeping those that
-  // classify INF_LOOP. Trial outcomes are a pure function of the seed, so
-  // the timed runs reproduce the scouted hangs. With detection on each
-  // deadlock is declared the moment the world goes quiescent; the
-  // timeout-only path pays the full watchdog plus the escalated
-  // re-confirmation run per hang.
+  // Hang-heavy section: time-to-classify INF_LOOP. The section needs
+  // points that really hang: a Root/Comm bit flip only deadlocks when it
+  // lands on another valid rank or handle (5 of 32 bits for a root in a
+  // 32-rank world, almost never in a 4-rank one), so it runs on a wider LU
+  // with 32 trials per point and scouts the Root/Comm points, keeping
+  // those that classify INF_LOOP. Trial outcomes are a pure function of
+  // the seed, so the timed run reproduces the scouted hangs: each deadlock
+  // is declared the moment its world goes quiescent, each livelock at its
+  // step budget.
   constexpr int hang_ranks = 32;
   const auto max_hang_points = static_cast<std::size_t>(
       bench::env_u64("FASTFIT_BENCH_HANG_POINTS", 3));
   const auto hang_trials = static_cast<std::uint32_t>(
       bench::env_u64("FASTFIT_BENCH_HANG_TRIALS", 32));
-  const auto watchdog_ms = bench::env_u64("FASTFIT_BENCH_HANG_WATCHDOG_MS",
-                                          250);
   const auto hang_workload = apps::make_workload("LU");
 
   core::CampaignOptions hang_options = options;
   hang_options.nranks = hang_ranks;
   hang_options.trials_per_point = hang_trials;
-  hang_options.watchdog = std::chrono::milliseconds(watchdog_ms);
-  hang_options.watchdog_escalation = 2;
 
   std::vector<InjectionPoint> hang_points;
   {
@@ -322,60 +317,32 @@ int main() {
     }
   }
 
-  double hang_sec[2] = {0.0, 0.0};
-  std::uint64_t hang_inf[2] = {0, 0};
+  double hang_sec = 0.0;
+  std::uint64_t hang_inf = 0;
   std::uint64_t deterministic_deadlocks = 0;
-  std::vector<PointResult> hang_results[2];
-  for (int detect = 0; detect < 2 && !hang_points.empty(); ++detect) {
-    hang_options.deterministic_hang_detection = detect != 0;
+  if (!hang_points.empty()) {
     const auto hang_driver =
         bench::profiled_driver(*hang_workload, hang_options);
     auto& hang_campaign = hang_driver->campaign();
     const auto t4 = std::chrono::steady_clock::now();
-    hang_results[detect] = hang_campaign.measure_many(hang_points);
-    hang_sec[detect] = seconds_since(t4);
-    for (const auto& r : hang_results[detect]) {
-      hang_inf[detect] +=
-          r.counts[static_cast<std::size_t>(inject::Outcome::InfLoop)];
+    for (const auto& r : hang_campaign.measure_many(hang_points)) {
+      hang_inf += r.counts[static_cast<std::size_t>(inject::Outcome::InfLoop)];
     }
-    if (detect) {
-      deterministic_deadlocks =
-          hang_campaign.health().deterministic_deadlocks;
-    }
-    std::printf("%-28s %8.2fs  (%llu INF_LOOP of %zu trials, "
-                "%.1f ms/INF_LOOP)\n",
-                detect ? "hang campaign, detection on" :
-                         "hang campaign, detection off",
-                hang_sec[detect],
-                static_cast<unsigned long long>(hang_inf[detect]),
-                hang_points.size() * static_cast<std::size_t>(hang_trials),
-                hang_inf[detect] ? 1000.0 * hang_sec[detect] /
-                                       static_cast<double>(hang_inf[detect])
-                                 : 0.0);
-  }
-  for (std::size_t i = 0; i < hang_results[0].size(); ++i) {
-    if (hang_results[0][i].counts != hang_results[1][i].counts) {
-      identical = false;
-      std::printf("  hang-campaign mismatch at point %zu (detection off vs "
-                  "on)\n", i);
-    }
+    hang_sec = seconds_since(t4);
+    deterministic_deadlocks = hang_campaign.health().deterministic_deadlocks;
   }
   const double hang_total =
       static_cast<double>(hang_points.size()) * hang_trials;
-  const double off_ms_per_inf =
-      hang_inf[0] ? 1000.0 * hang_sec[0] / static_cast<double>(hang_inf[0])
-                  : 0.0;
-  const double on_ms_per_inf =
-      hang_inf[1] ? 1000.0 * hang_sec[1] / static_cast<double>(hang_inf[1])
-                  : 0.0;
-  const double classify_speedup =
-      on_ms_per_inf > 0.0 ? off_ms_per_inf / on_ms_per_inf : 0.0;
+  const double ms_per_inf =
+      hang_inf ? 1000.0 * hang_sec / static_cast<double>(hang_inf) : 0.0;
   // A hang section that classifies nothing measures nothing.
-  const bool hang_measured = hang_inf[0] > 0 && hang_inf[1] > 0;
+  const bool hang_measured = hang_inf > 0;
   if (hang_measured) {
-    std::printf("time-to-classify speedup: %.1fx (%llu deterministic "
-                "deadlocks)\n",
-                classify_speedup,
+    std::printf("%-28s %8.2fs  (%llu INF_LOOP of %.0f trials, "
+                "%.1f ms/INF_LOOP, %llu proven deadlocks)\n",
+                "hang campaign", hang_sec,
+                static_cast<unsigned long long>(hang_inf), hang_total,
+                ms_per_inf,
                 static_cast<unsigned long long>(deterministic_deadlocks));
   } else {
     std::printf("hang section classified no INF_LOOP (%zu hanging points "
@@ -554,19 +521,12 @@ int main() {
        << "\"workload\": \"LU\", \"ranks\": " << hang_ranks
        << ", \"points\": " << hang_points.size()
        << ", \"trials_per_point\": " << hang_trials
-       << ", \"watchdog_ms\": " << watchdog_ms
-       << ", \"inf_loops\": " << hang_inf[1]
+       << ", \"inf_loops\": " << hang_inf
        << ", \"deterministic_deadlocks\": " << deterministic_deadlocks
-       << ",\n    \"off\": {\"seconds\": " << hang_sec[0]
+       << ", \"seconds\": " << hang_sec
        << ", \"trials_per_sec\": "
-       << (hang_sec[0] > 0.0 ? hang_total / hang_sec[0] : 0.0)
-       << ", \"ms_per_inf_loop\": " << off_ms_per_inf << "}"
-       << ",\n    \"on\": {\"seconds\": " << hang_sec[1]
-       << ", \"trials_per_sec\": "
-       << (hang_sec[1] > 0.0 ? hang_total / hang_sec[1] : 0.0)
-       << ", \"ms_per_inf_loop\": " << on_ms_per_inf << "}"
-       << ",\n    \"time_to_classify_speedup\": " << classify_speedup
-       << "},\n"
+       << (hang_sec > 0.0 ? hang_total / hang_sec : 0.0)
+       << ", \"ms_per_inf_loop\": " << ms_per_inf << "},\n"
        << "  \"results_identical_to_serial\": "
        << (identical ? "true" : "false") << "\n}\n";
 

@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
       .nranks = 16,
       .seed = 0x5eedULL,
       .trials_per_point = 10,
-      .watchdog = std::nullopt,
   };
   // Drive the ML loop by hand below (to print the model) instead of
   // letting run() own it.

@@ -21,11 +21,6 @@ namespace tel = fastfit::telemetry;
 
 namespace {
 
-// Watchdog calibration: the fault-free path must fit comfortably, a hung
-// job must be detected promptly.
-constexpr std::chrono::milliseconds kWatchdogFloor = 150ms;
-constexpr int kWatchdogMultiplier = 12;
-
 std::string algorithms_id(const mpi::CollectiveAlgorithms& algorithms) {
   return std::to_string(static_cast<int>(algorithms.allreduce)) + '/' +
          std::to_string(static_cast<int>(algorithms.bcast));
@@ -78,9 +73,6 @@ Campaign::Campaign(const apps::Workload& workload, CampaignOptions options)
   if (options_.trials_per_point == 0) {
     throw ConfigError("Campaign: trials_per_point must be positive");
   }
-  if (options_.watchdog_escalation < 1) {
-    throw ConfigError("Campaign: watchdog_escalation must be >= 1");
-  }
   if (options_.fault_models.empty()) {
     throw ConfigError("Campaign: fault_models must be non-empty");
   }
@@ -101,10 +93,6 @@ Campaign::Campaign(const apps::Workload& workload, CampaignOptions options)
                         "' raises a genuine signal and requires "
                         "--isolation process");
     }
-  }
-  if (options_.watchdog_storm_fraction <= 0.0 ||
-      options_.watchdog_storm_fraction > 1.0) {
-    throw ConfigError("Campaign: watchdog_storm_fraction must be in (0, 1]");
   }
   // Validate the structural pruning chain up front: unknown names and
   // measurer-needing passes ("ml") should fail at construction, not at
@@ -134,33 +122,25 @@ std::string Campaign::golden_key() const {
   return workload_->name() + '|' + workload_->params_key() + '|' +
          std::to_string(options_.nranks) + '|' +
          std::to_string(options_.seed) + '|' +
-         algorithms_id(options_.algorithms) + '|' +
-         (options_.deterministic_hang_detection ? "hd1" : "hd0");
+         algorithms_id(options_.algorithms);
 }
 
-std::pair<std::uint64_t, std::chrono::milliseconds> Campaign::run_golden(
-    std::chrono::milliseconds watchdog_budget) {
+GoldenCache::Value Campaign::run_golden() {
   // Golden memo: one verified fault-free run per (workload, params,
-  // nranks, seed, algorithms, hang detection) per process. A storm
-  // recalibration invalidates the entry first, so it always re-measures.
+  // nranks, seed, algorithms) per process.
   const std::string key = golden_key();
   if (const auto cached = GoldenCache::instance().find(key)) {
     tel::ScopedSpan span("golden-run");
     span.arg("cached", "1");
-    return {cached->digest, cached->wall};
+    return *cached;
   }
   mpi::WorldOptions opts;
   opts.nranks = options_.nranks;
   opts.seed = options_.seed;
   opts.algorithms = options_.algorithms;
-  opts.watchdog = watchdog_budget;
-  opts.hang_detection = options_.deterministic_hang_detection;
   trace::ContextRegistry contexts(options_.nranks, /*record_call_graph=*/false);
   tel::ScopedSpan span("golden-run");
-  const auto t0 = std::chrono::steady_clock::now();
   const auto golden = apps::run_job(*workload_, opts, nullptr, contexts);
-  const auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - t0);
   span.finish();
   if (!golden.world.clean()) {
     throw InternalError("Campaign: golden run failed: " +
@@ -177,20 +157,21 @@ std::pair<std::uint64_t, std::chrono::milliseconds> Campaign::run_golden(
         std::to_string(golden.world.undelivered_messages) +
         " undelivered message(s))");
   }
-  GoldenCache::instance().put(key, {golden.digest, wall});
-  return {golden.digest, wall};
+  const GoldenCache::Value value{golden.digest, golden.world.steps};
+  GoldenCache::instance().put(key, value);
+  return value;
 }
 
 void Campaign::profile() {
   if (profiled_) throw InternalError("Campaign::profile: already profiled");
 
-  // Golden (fault-free, un-instrumented) run: digest + wall time.
-  const auto [digest, golden_wall] =
-      run_golden(options_.watchdog.value_or(30'000ms));
-  golden_digest_ = digest;
-
-  watchdog_ = options_.watchdog.value_or(
-      std::max(kWatchdogFloor, golden_wall * kWatchdogMultiplier));
+  // Golden (fault-free, un-instrumented) run: digest + per-rank steps.
+  const auto golden = run_golden();
+  golden_digest_ = golden.digest;
+  step_budget_.clear();
+  for (const std::uint64_t steps : golden.steps) {
+    step_budget_.push_back(steps * kStepBudgetMultiplier);
+  }
 
   // Profiling run (paper Fig 5 phase 1): same problem as the injection
   // runs, so the features transfer.
@@ -200,12 +181,19 @@ void Campaign::profile() {
   profile_opts.nranks = options_.nranks;
   profile_opts.seed = options_.seed;
   profile_opts.algorithms = options_.algorithms;
-  profile_opts.watchdog = options_.watchdog.value_or(30'000ms);
-  profile_opts.hang_detection = options_.deterministic_hang_detection;
   tel::ScopedSpan profiling_span("profiling-run");
+  const auto t0 = std::chrono::steady_clock::now();
   const auto profiled =
       apps::run_job(*workload_, profile_opts, profiler_.get(), *contexts_);
+  const auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
   profiling_span.finish();
+  // The worker lease only backstops a wedged or compute-spinning worker
+  // process, so it is generous: 48 fault-free wall times plus 10 s, and
+  // never under a minute. The fault-free wall time is the profiling run's,
+  // which is never memoized; a clock read here decides no outcome.
+  worker_lease_ = options_.worker_lease.value_or(
+      std::max<std::chrono::milliseconds>(60'000ms, wall * 48 + 10'000ms));
   if (!profiled.world.clean()) {
     throw InternalError("Campaign: profiling run failed: " +
                         profiled.world.event->message);
@@ -253,6 +241,11 @@ const profile::Profiler& Campaign::profiler() const {
 std::uint64_t Campaign::golden_digest() const {
   if (!profiled_) throw InternalError("Campaign: profile() not run");
   return golden_digest_;
+}
+
+const std::vector<std::uint64_t>& Campaign::step_budget() const {
+  if (!profiled_) throw InternalError("Campaign: profile() not run");
+  return step_budget_;
 }
 
 void Campaign::attach_journal(const std::string& path, JournalMode mode) {
@@ -303,8 +296,6 @@ CampaignHealth Campaign::health() const noexcept {
   CampaignHealth h;
   h.total_retries = total_retries_.load(std::memory_order_relaxed);
   h.quarantined_points = quarantined_points_.load(std::memory_order_relaxed);
-  h.watchdog_confirmations = confirmations_.load(std::memory_order_relaxed);
-  h.watchdog_recalibrations = recalibrations_.load(std::memory_order_relaxed);
   h.replayed_trials = replayed_trials_.load(std::memory_order_relaxed);
   h.deterministic_deadlocks =
       deterministic_deadlocks_.load(std::memory_order_relaxed);
@@ -340,12 +331,6 @@ std::shared_ptr<const mpi::WorldRecording> Campaign::build_recording() {
     opts.nranks = options_.nranks;
     opts.seed = options_.seed;
     opts.algorithms = options_.algorithms;
-    // The recording run is fault-free; give it the relaxed golden-style
-    // budget rather than the trial watchdog, so a loaded machine cannot
-    // poison the recording with a spurious timeout.
-    opts.watchdog = std::max<std::chrono::milliseconds>(
-        30'000ms, watchdog_ * options_.watchdog_escalation);
-    opts.hang_detection = options_.deterministic_hang_detection;
     opts.recorder = recorder;
     trace::ContextRegistry contexts(options_.nranks,
                                     /*record_call_graph=*/false);
@@ -381,7 +366,7 @@ std::shared_ptr<const mpi::WorldRecording> Campaign::build_recording() {
 
 inject::TrialForensics Campaign::run_trial(
     const InjectionPoint& point, std::uint64_t trial,
-    std::chrono::milliseconds watchdog) {
+    const std::vector<std::uint64_t>& step_budget) {
   // Snapshot fast path only for replayable specs: a fault that perturbs
   // prefix-visible state (message delay/drop, probabilistic or windowed
   // triggers that may fire inside the prefix) must execute from scratch —
@@ -396,7 +381,7 @@ inject::TrialForensics Campaign::run_trial(
     }
     if (snapshot) {
       try {
-        return execute_trial(point, trial, watchdog, std::move(snapshot));
+        return execute_trial(point, trial, step_budget, std::move(snapshot));
       } catch (const mpi::ReplayError& e) {
         // Divergence is a harness condition, never a trial outcome: fall
         // back to the from-scratch path below. Under `auto` one
@@ -408,12 +393,12 @@ inject::TrialForensics Campaign::run_trial(
       }
     }
   }
-  return execute_trial(point, trial, watchdog, nullptr);
+  return execute_trial(point, trial, step_budget, nullptr);
 }
 
 inject::TrialForensics Campaign::execute_trial(
     const InjectionPoint& point, std::uint64_t trial,
-    std::chrono::milliseconds watchdog,
+    const std::vector<std::uint64_t>& step_budget,
     std::shared_ptr<const mpi::WorldSnapshot> snapshot) {
   inject::FaultSpec spec;
   spec.site_id = point.site_id;
@@ -427,9 +412,8 @@ inject::TrialForensics Campaign::execute_trial(
   mpi::WorldOptions opts;
   opts.nranks = options_.nranks;
   opts.seed = options_.seed;
-  opts.watchdog = watchdog;
+  opts.step_budget = step_budget;
   opts.algorithms = options_.algorithms;
-  opts.hang_detection = options_.deterministic_hang_detection;
   opts.repair = options_.repair;
   opts.replay = snapshot;
   trace::ContextRegistry contexts(options_.nranks, /*record_call_graph=*/false);
@@ -488,9 +472,8 @@ void Campaign::warm_snapshots(std::span<const InjectionPoint> points) {
   }
 }
 
-inject::TrialForensics Campaign::dispatch_trial(
-    const InjectionPoint& point, std::uint64_t trial,
-    std::chrono::milliseconds watchdog) {
+inject::TrialForensics Campaign::dispatch_trial(const InjectionPoint& point,
+                                                std::uint64_t trial) {
   ProcPool* pool = active_pool_.load(std::memory_order_acquire);
   if (pool != nullptr && !pool->degraded()) {
     procpool::WorkItem item;
@@ -500,14 +483,8 @@ inject::TrialForensics Campaign::dispatch_trial(
     item.param = static_cast<std::uint8_t>(point.param);
     item.fault = point.fault;
     item.trial = trial;
-    item.watchdog_ms = static_cast<std::uint64_t>(watchdog.count());
-    // The in-world watchdog is the real trial timeout; the lease is a
-    // generous backstop that only catches a wedged worker *process*
-    // (e.g. one that inherited a locked mutex across fork).
-    const auto lease = options_.worker_lease.value_or(
-        std::max<std::chrono::milliseconds>(
-            60'000ms, watchdog * 4 + std::chrono::milliseconds(10'000)));
-    const auto result = pool->run(item, lease);
+    item.step_budget = step_budget_;
+    const auto result = pool->run(item, worker_lease_);
     switch (result.kind) {
       case ProcPool::Result::Kind::Completed: {
         if (!result.reply.ok) {
@@ -553,12 +530,11 @@ inject::TrialForensics Campaign::dispatch_trial(
     // recorded in CampaignHealth (results are identical either way).
     isolation_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
-  return run_trial(point, trial, watchdog);
+  return run_trial(point, trial, step_budget_);
 }
 
-TrialRunner::Attempt Campaign::run_guarded(
-    const InjectionPoint& point, std::uint64_t trial,
-    std::chrono::milliseconds watchdog) {
+TrialRunner::Attempt Campaign::run_guarded(const InjectionPoint& point,
+                                           std::uint64_t trial) {
   Attempt attempt;
   for (std::uint32_t tries = 0;; ++tries) {
     // Attribution prefix for the error: which attempt failed, on which
@@ -566,7 +542,7 @@ TrialRunner::Attempt Campaign::run_guarded(
     const std::string site = "attempt " + std::to_string(tries + 1) + " on " +
                              execution_site() + ": ";
     try {
-      const auto forensics = dispatch_trial(point, trial, watchdog);
+      const auto forensics = dispatch_trial(point, trial);
       attempt.outcome = forensics.outcome;
       attempt.deterministic_hang = forensics.deterministic_hang;
       attempt.autopsy = forensics.autopsy;
@@ -598,28 +574,6 @@ TrialRunner::Attempt Campaign::run_guarded(
 
 std::size_t Campaign::parallel_trials() const noexcept {
   return resolve_parallel_trials(options_.max_parallel_trials);
-}
-
-void Campaign::recalibrate_after_storm(std::size_t pool) {
-  const auto budget = std::max<std::chrono::milliseconds>(
-      30'000ms, watchdog_ * options_.watchdog_escalation);
-  tel::ScopedSpan recal_span("watchdog-recalibrate");
-  // The whole point is a fresh wall-time measurement on the machine as it
-  // is now: drop the memoized golden so run_golden re-measures (and
-  // refreshes the entry for later campaigns).
-  GoldenCache::instance().invalidate(golden_key());
-  const auto [digest, wall] = run_golden(budget);
-  if (digest != golden_digest_) {
-    throw InternalError("Campaign: recalibration golden digest diverged");
-  }
-  watchdog_ = std::max(kWatchdogFloor, wall * kWatchdogMultiplier);
-  options_.max_parallel_trials = std::max<std::size_t>(1, pool / 2);
-  if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
-    static auto& recals =
-        rec.counter("fastfit_watchdog_recalibrations_total",
-                    "Storm-triggered golden recalibrations");
-    recals.add();
-  }
 }
 
 std::vector<PointResult> Campaign::measure_impl(
@@ -666,10 +620,8 @@ std::vector<PointResult> Campaign::measure_impl(
             point.invocation = item.invocation;
             point.param = static_cast<mpi::Param>(item.param);
             point.fault = item.fault;
-            const auto forensics = run_trial(
-                point, item.trial,
-                std::chrono::milliseconds(
-                    static_cast<std::int64_t>(item.watchdog_ms)));
+            const auto forensics =
+                run_trial(point, item.trial, item.step_budget);
             reply.ok = true;
             reply.outcome = forensics.outcome;
             reply.deterministic_hang = forensics.deterministic_hang;
@@ -691,14 +643,11 @@ std::vector<PointResult> Campaign::measure_impl(
   } pool_guard{active_pool_};
 
   // The scheduler owns the (point, trial) job matrix — replay, concurrent
-  // execution, storm response, escalated re-confirmation, deterministic
-  // aggregation. Campaign contributes the engine (TrialRunner) and the
-  // observers: the report accumulator, the metrics sink, and (when
-  // attached) the journal write-through.
+  // execution, deterministic aggregation. Campaign contributes the engine
+  // (TrialRunner) and the observers: the report accumulator, the metrics
+  // sink, and (when attached) the journal write-through.
   SchedulerConfig scheduler_config;
   scheduler_config.pool = pool;
-  scheduler_config.storm_fraction = options_.watchdog_storm_fraction;
-  scheduler_config.watchdog_escalation = options_.watchdog_escalation;
   TrialScheduler scheduler(*this, scheduler_config);
 
   ResultAccumulator accumulator(points);
@@ -716,8 +665,6 @@ std::vector<PointResult> Campaign::measure_impl(
   replayed_trials_.fetch_add(batch.replayed, std::memory_order_relaxed);
   deterministic_deadlocks_.fetch_add(batch.deterministic_deadlocks,
                                      std::memory_order_relaxed);
-  confirmations_.fetch_add(batch.confirmations, std::memory_order_relaxed);
-  recalibrations_.fetch_add(batch.recalibrations, std::memory_order_relaxed);
   quarantined_points_.fetch_add(batch.quarantined_points,
                                 std::memory_order_relaxed);
 

@@ -3,17 +3,15 @@
 // Campaign execution: golden run, per-trial fault injection, and the
 // per-point statistics the evaluation section reports.
 //
-// The campaign engine is crash-resilient in three coordinated layers:
+// The campaign engine is crash-resilient in two coordinated layers:
 //  (1) a durable trial journal (core/journal.hpp) that measure() /
-//      measure_many() write through and resume from,
+//      measure_many() write through and resume from, and
 //  (2) a retrying trial guard that contains internal (non-fault)
 //      exceptions: a trial that keeps failing quarantines its point
-//      instead of tearing down the campaign, and
-//  (3) watchdog escalation: INF_LOOP outcomes are re-confirmed
-//      uncontended with an escalated budget, and a watchdog "storm"
-//      (most of a batch timing out — an overloaded machine, not a
-//      thousand genuine hangs) triggers golden-wall recalibration and
-//      degrades trial parallelism toward serial.
+//      instead of tearing down the campaign.
+// Hang verdicts need no resilience layer: a deadlock is proven at world
+// quiescence and a livelock ends at a per-rank step budget derived from
+// the golden run, so neither depends on host load.
 
 #include <array>
 #include <atomic>
@@ -45,9 +43,6 @@ struct CampaignOptions {
   /// paper uses 100; smaller values trade statistical resolution for
   /// wall-clock time.
   std::uint32_t trials_per_point = 30;
-  /// Watchdog for injected runs; if unset, calibrated from the golden run
-  /// (a multiple of the fault-free wall time).
-  std::optional<std::chrono::milliseconds> watchdog;
   /// Fault models (manifestation x trigger) the campaign injects
   /// (--fault-models, FASTFIT_FAULT_MODELS). profile() crosses the
   /// enumerated points with every spec; the default single entry — the
@@ -84,23 +79,6 @@ struct CampaignOptions {
   /// retried with exponential backoff before the point is quarantined.
   /// (FASTFIT_MAX_TRIAL_RETRIES; 0 disables retries.)
   std::uint32_t max_trial_retries = 2;
-  /// Watchdog multiplier for the uncontended INF_LOOP re-confirmation run
-  /// and for the golden recalibration budget. Must be >= 1.
-  /// (FASTFIT_WATCHDOG_ESCALATION.)
-  std::uint32_t watchdog_escalation = 4;
-  /// If more than this fraction of a measure_many batch's freshly-run
-  /// trials hit the watchdog, the machine is assumed overloaded: the
-  /// campaign re-measures the golden wall time, recalibrates the
-  /// watchdog, and halves trial parallelism instead of mass-classifying
-  /// INF_LOOP. Must be in (0, 1]. Only *non-deterministic* timeouts count
-  /// toward the storm: proven deadlocks are load-independent.
-  double watchdog_storm_fraction = 0.5;
-  /// Deterministic hang detection (FASTFIT_HANG_DETECTION): every
-  /// injected world declares a structural deadlock the moment no rank can
-  /// make progress, so it classifies INF_LOOP at once and skips the
-  /// escalated re-confirmation. Off = watchdog/escalation path for every
-  /// hang.
-  bool deterministic_hang_detection = true;
   /// Structural pruning chain applied at profile() time, in order
   /// (FASTFIT_PASSES). Names as understood by make_pruning_pass; passes
   /// that need a measurer ("ml") are rejected here — the ML stage runs
@@ -141,9 +119,10 @@ struct CampaignOptions {
   IsolationMode isolation = IsolationMode::Thread;
   /// Per-trial lease for process-isolated workers: past this deadline
   /// the whole lane process group is SIGKILLed and the trial re-enters
-  /// the retry-with-quarantine guard. Unset = a generous backstop
-  /// derived from the watchdog (the in-world watchdog is the real
-  /// timeout; the lease only catches a wedged worker process).
+  /// the retry-with-quarantine guard. The lease is the one wall-clock
+  /// bound on a trial: it catches a rank spinning without entering
+  /// MiniMPI and a wedged worker process. Unset = a generous backstop
+  /// derived from the fault-free wall time.
   std::optional<std::chrono::milliseconds> worker_lease;
 };
 
@@ -152,8 +131,10 @@ struct CampaignOptions {
 struct CampaignHealth {
   std::uint64_t total_retries = 0;           ///< guarded-trial retries
   std::uint64_t quarantined_points = 0;      ///< points given up on
-  std::uint64_t watchdog_confirmations = 0;  ///< escalated INF_LOOP re-runs
-  std::uint64_t watchdog_recalibrations = 0; ///< storm-triggered recalibrations
+  /// Always 0; kept because perfbench/refstudy.cpp still reads it.
+  std::uint64_t watchdog_confirmations = 0;
+  /// Always 0; kept because perfbench/refstudy.cpp still reads it.
+  std::uint64_t watchdog_recalibrations = 0;
   std::uint64_t replayed_trials = 0;         ///< trials served from the journal
   std::uint64_t deterministic_deadlocks = 0; ///< structurally proven INF_LOOPs
   /// Always 0; kept because perfbench/refstudy.cpp still reads it.
@@ -162,8 +143,8 @@ struct CampaignHealth {
   std::uint64_t worker_lease_kills = 0;      ///< workers SIGKILLed past the lease
   std::uint64_t isolation_fallbacks = 0;     ///< trials run in-process post-degradation
 
-  /// True when no point was quarantined (retries, confirmations, and
-  /// deterministic verdicts are routine; quarantine means lost coverage).
+  /// True when no point was quarantined (retries and hang verdicts are
+  /// routine; quarantine means lost coverage).
   /// Worker deaths are *data* (the classified SEG_FAULT outcomes), lease
   /// kills feed the retry ladder whose terminal state is quarantine, and
   /// degradation fallbacks still produce correct results — none of the
@@ -189,8 +170,9 @@ class Campaign : private TrialRunner {
  public:
   Campaign(const apps::Workload& workload, CampaignOptions options);
 
-  /// Phase 1 (paper Fig 5): profiling run + golden digest + watchdog
-  /// calibration + point enumeration. Must be called before trials.
+  /// Phase 1 (paper Fig 5): golden run (digest and per-rank step counts,
+  /// hence the trial step budgets) + profiling run + point enumeration.
+  /// Must be called before trials.
   void profile();
 
   const Enumeration& enumeration() const;
@@ -228,10 +210,8 @@ class Campaign : private TrialRunner {
   /// Measures a batch of points, running up to max_parallel_trials
   /// (point, trial) jobs concurrently on a TrialExecutor. Returns results
   /// in input order, bit-identical to calling measure() on each point:
-  /// per-trial RNG identity is execution-order-free, and any trial that
-  /// hits the watchdog is confirmed by an uncontended re-run with an
-  /// escalated (watchdog_escalation ×) budget before being classified
-  /// INF_LOOP.
+  /// per-trial RNG identity is execution-order-free, and no outcome reads
+  /// a clock.
   std::vector<PointResult> measure_many(std::span<const InjectionPoint> points,
                                         std::uint32_t trials);
 
@@ -265,7 +245,18 @@ class Campaign : private TrialRunner {
   SnapshotCache::Stats snapshot_stats() const;
 
   std::uint64_t golden_digest() const;
-  std::chrono::milliseconds watchdog() const override { return watchdog_; }
+
+  /// Per-rank step budget of every injected world (WorldOptions::
+  /// step_budget): kStepBudgetMultiplier × the rank's golden step count.
+  const std::vector<std::uint64_t>& step_budget() const;
+
+  /// How many times its golden step count an injected rank may step
+  /// before it is declared livelocked (INF_LOOP). Far above what finishing
+  /// trials take (CG's largest legal iteration count is 32x its default),
+  /// and below the 48 fault-free wall times of the worker lease, so a
+  /// livelocked worker meets its budget before the lease kills it.
+  static constexpr std::uint64_t kStepBudgetMultiplier = 32;
+
   const CampaignOptions& options() const noexcept { return options_; }
   const apps::Workload& workload() const noexcept { return *workload_; }
 
@@ -274,7 +265,10 @@ class Campaign : private TrialRunner {
   CampaignOptions options_;
   bool profiled_ = false;
   std::uint64_t golden_digest_ = 0;
-  std::chrono::milliseconds watchdog_{0};
+  std::vector<std::uint64_t> step_budget_;
+  /// Worker lease under process isolation (CampaignOptions::worker_lease
+  /// or the backstop derived in profile()).
+  std::chrono::milliseconds worker_lease_{0};
   std::unique_ptr<trace::ContextRegistry> contexts_;
   std::unique_ptr<profile::Profiler> profiler_;
   Enumeration enumeration_;
@@ -287,8 +281,6 @@ class Campaign : private TrialRunner {
   std::atomic<std::uint64_t> trials_run_{0};
   std::atomic<std::uint64_t> total_retries_{0};
   std::atomic<std::uint64_t> quarantined_points_{0};
-  std::atomic<std::uint64_t> confirmations_{0};
-  std::atomic<std::uint64_t> recalibrations_{0};
   std::atomic<std::uint64_t> replayed_trials_{0};
   std::atomic<std::uint64_t> deterministic_deadlocks_{0};
   std::atomic<std::uint64_t> worker_deaths_{0};
@@ -306,9 +298,9 @@ class Campaign : private TrialRunner {
   /// so the guard retries it. Stray undelivered messages are a legitimate
   /// fault consequence (e.g. a corrupted root re-routes sends nobody
   /// awaits), so only the uninjected golden/profiling runs assert on them.
-  inject::TrialForensics run_trial(const InjectionPoint& point,
-                                   std::uint64_t trial,
-                                   std::chrono::milliseconds watchdog);
+  inject::TrialForensics run_trial(
+      const InjectionPoint& point, std::uint64_t trial,
+      const std::vector<std::uint64_t>& step_budget);
 
   /// The world execution behind run_trial. With a snapshot, only the
   /// post-injection suffix executes (prefix replayed from the recording);
@@ -316,7 +308,7 @@ class Campaign : private TrialRunner {
   /// from-scratch fallback.
   inject::TrialForensics execute_trial(
       const InjectionPoint& point, std::uint64_t trial,
-      std::chrono::milliseconds watchdog,
+      const std::vector<std::uint64_t>& step_budget,
       std::shared_ptr<const mpi::WorldSnapshot> snapshot);
 
   /// One fault-free recording run (digest-checked against golden).
@@ -335,8 +327,7 @@ class Campaign : private TrialRunner {
   /// fallback, which is refused for signal models (a real signal must
   /// never fire inside the campaign process).
   inject::TrialForensics dispatch_trial(const InjectionPoint& point,
-                                        std::uint64_t trial,
-                                        std::chrono::milliseconds watchdog);
+                                        std::uint64_t trial);
 
   /// Pre-derives the snapshot recording + cuts for every replayable point
   /// of the batch, so forked workers inherit them instead of each child
@@ -346,18 +337,11 @@ class Campaign : private TrialRunner {
   /// TrialRunner: supervised execution of one trial — retries internal
   /// (non-fault) failures with exponential backoff up to
   /// max_trial_retries before reporting !ok (quarantine).
-  Attempt run_guarded(const InjectionPoint& point, std::uint64_t trial,
-                      std::chrono::milliseconds watchdog) override;
+  Attempt run_guarded(const InjectionPoint& point,
+                      std::uint64_t trial) override;
 
-  /// TrialRunner: watchdog-storm response — re-measure the golden wall
-  /// time, recalibrate the watchdog from it, and halve trial parallelism
-  /// for later batches.
-  void recalibrate_after_storm(std::size_t pool) override;
-
-  /// Fault-free run: returns (digest, wall time). Used by profile() and
-  /// by watchdog-storm recalibration.
-  std::pair<std::uint64_t, std::chrono::milliseconds> run_golden(
-      std::chrono::milliseconds watchdog_budget);
+  /// Fault-free run (memoized in GoldenCache): digest and per-rank steps.
+  GoldenCache::Value run_golden();
 
   /// Shared implementation of measure / measure_many at a given pool size.
   std::vector<PointResult> measure_impl(

@@ -118,7 +118,7 @@ P2pPointResult measure_p2p(Campaign& campaign, const P2pInjectionPoint& point,
     mpi::WorldOptions opts;
     opts.nranks = campaign.options().nranks;
     opts.seed = campaign.options().seed;
-    opts.watchdog = campaign.watchdog();
+    opts.step_budget = campaign.step_budget();
     opts.algorithms = campaign.options().algorithms;
     trace::ContextRegistry contexts(opts.nranks, /*record_call_graph=*/false);
     const auto job =

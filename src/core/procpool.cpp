@@ -231,7 +231,8 @@ std::string encode_work(const procpool::WorkItem& item, std::uint64_t seq) {
   w.u64(item.fault.window);
   w.u64(item.fault.duty_k);
   w.u64(item.trial);
-  w.u64(item.watchdog_ms);
+  w.u64(item.step_budget.size());
+  for (const std::uint64_t budget : item.step_budget) w.u64(budget);
   return w.bytes();
 }
 
@@ -245,10 +246,16 @@ bool decode_work(const std::string& payload, procpool::WorkItem& item,
       !r.u64(item.invocation) || !r.u8(item.param) || !r.u8(model) ||
       !r.u8(trigger) || !r.f64(item.fault.probability) ||
       !r.u64(item.fault.window) || !r.u64(item.fault.duty_k) ||
-      !r.u64(item.trial) ||
-      !r.u64(item.watchdog_ms) || !r.done()) {
+      !r.u64(item.trial)) {
     return false;
   }
+  std::uint64_t nbudgets = 0;
+  if (!r.u64(nbudgets) || nbudgets > kMaxFrameBytes / 8) return false;
+  item.step_budget.resize(static_cast<std::size_t>(nbudgets));
+  for (auto& budget : item.step_budget) {
+    if (!r.u64(budget)) return false;
+  }
+  if (!r.done()) return false;
   item.rank = static_cast<int>(static_cast<std::int64_t>(rank));
   item.fault.model = static_cast<inject::FaultModel>(model);
   item.fault.trigger = static_cast<inject::FaultTrigger>(trigger);

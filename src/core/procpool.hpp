@@ -67,7 +67,8 @@ struct WorkItem {
   std::uint8_t param = 0;  ///< mpi::Param ordinal
   inject::FaultModelSpec fault;
   std::uint64_t trial = 0;
-  std::uint64_t watchdog_ms = 0;
+  /// Per-rank step budget of the trial's world (WorldOptions::step_budget).
+  std::vector<std::uint64_t> step_budget;
 };
 
 /// What the trial child reports back on success-or-contained-error. A

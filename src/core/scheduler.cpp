@@ -118,9 +118,9 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
                                          std::vector<int>(trials, kPending));
   std::vector<std::vector<std::uint8_t>> replayed(
       points.size(), std::vector<std::uint8_t>(trials, 0));
-  // Forensics per (point, trial): whether an INF_LOOP was proven
-  // deterministically (skips escalated re-confirmation) and the world
-  // autopsy carried into the journal and point stats.
+  // Forensics per (point, trial): whether an INF_LOOP was proven a
+  // deadlock at quiescence, and the world autopsy carried into the
+  // journal and point stats.
   std::vector<std::vector<std::uint8_t>> deterministic(
       points.size(), std::vector<std::uint8_t>(trials, 0));
   std::vector<std::vector<std::string>> autopsies(
@@ -184,8 +184,7 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
     tel::ScopedSpan trial_span("trial");
     trial_span.arg("point", keys[i]);
     trial_span.arg("trial", std::to_string(t));
-    const auto attempt =
-        runner_->run_guarded(points[i], t, runner_->watchdog());
+    const auto attempt = runner_->run_guarded(points[i], t);
     trial_retries[i][t] = attempt.retries;
     if (!attempt.ok) {
       errors[i][t] = attempt.error;
@@ -203,9 +202,6 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
     trial_span.arg("outcome", inject::to_string(attempt.outcome));
     if (attempt.outcome == inject::Outcome::InfLoop &&
         attempt.deterministic_hang) {
-      // Proven structural deadlock: load-independent, so it neither
-      // feeds the storm heuristic nor needs an escalated
-      // re-confirmation.
       deterministic[i][t] = 1;
     }
     autopsies[i][t] = attempt.autopsy;
@@ -258,74 +254,18 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
     }
   }
 
-  // Fresh-trial census for the storm heuristic and the health stats,
-  // taken *after* truncation so wasted beyond-failure executions do not
-  // feed either (the serial run never ran them).
-  std::uint64_t fresh_count = 0;
-  std::uint64_t timeout_count = 0;
+  // Proven-deadlock census for the health stats, taken *after*
+  // truncation so wasted beyond-failure executions do not count (the
+  // serial run never ran them).
   for (std::size_t i = 0; i < points.size(); ++i) {
     for (std::uint32_t t = 0; t < trials; ++t) {
-      if (outcomes[i][t] < 0 || replayed[i][t]) continue;
-      ++fresh_count;
-      if (outcomes[i][t] == static_cast<int>(inject::Outcome::InfLoop)) {
-        if (deterministic[i][t]) {
-          ++stats.deterministic_deadlocks;
-        } else {
-          ++timeout_count;
-        }
+      if (outcomes[i][t] >= 0 && !replayed[i][t] && deterministic[i][t]) {
+        ++stats.deterministic_deadlocks;
       }
     }
   }
 
-  // Phase 2: watchdog-storm response. When most of a batch times out the
-  // likely cause is an overloaded machine (or a stale calibration), not a
-  // sudden epidemic of genuine hangs: hand the engine its storm response
-  // (golden recalibration + parallelism degradation). The escalated
-  // re-confirmation below then reclassifies with the fresh budget.
-  if (config_.pool > 1 && fresh_count > 0 &&
-      static_cast<double>(timeout_count) >
-          config_.storm_fraction * static_cast<double>(fresh_count)) {
-    runner_->recalibrate_after_storm(config_.pool);
-    ++stats.recalibrations;
-  }
-
-  // Phase 3: the watchdog is the one outcome gate that feels CPU
-  // contention: a slow-but-finishing faulted run can cross the wall-clock
-  // deadline only because concurrent Worlds shared the cores. Re-run
-  // every freshly timed-out trial serially — alone on the machine, with
-  // an escalated budget — and keep the confirmed outcome. Genuinely hung
-  // runs time out again (same INF_LOOP), so classification is identical
-  // at every parallelism level. Journal-replayed INF_LOOPs were already
-  // confirmed when first recorded.
-  // Deterministic verdicts skip this entirely: the world *proved* the
-  // deadlock structurally, so contention cannot have caused it.
-  const auto escalated = runner_->watchdog() * config_.watchdog_escalation;
-  std::vector<std::uint32_t> confirm_retries(points.size(), 0);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    for (std::uint32_t t = 0; t < trials; ++t) {
-      if (outcomes[i][t] != static_cast<int>(inject::Outcome::InfLoop) ||
-          replayed[i][t] || deterministic[i][t]) {
-        continue;
-      }
-      tel::ScopedSpan confirm_span("watchdog-confirm");
-      confirm_span.arg("point", keys[i]);
-      confirm_span.arg("trial", std::to_string(t));
-      const auto attempt = runner_->run_guarded(points[i], t, escalated);
-      ++stats.confirmations;
-      if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
-        static auto& confirms =
-            rec.counter("fastfit_watchdog_confirmations_total",
-                        "Escalated uncontended INF_LOOP re-confirmations");
-        confirms.add();
-      }
-      confirm_retries[i] += attempt.retries;
-      // A confirmation that fails internally keeps the original outcome:
-      // the trial did produce one, and quarantining here would discard it.
-      if (attempt.ok) outcomes[i][t] = static_cast<int>(attempt.outcome);
-    }
-  }
-
-  // Phase 4: fan out in deterministic (point, trial) order. Execution
+  // Phase 2: fan out in deterministic (point, trial) order. Execution
   // order above was free; observation order is pinned here, which is what
   // keeps reports, journals, and counters bit-identical at every pool
   // size.
@@ -345,12 +285,12 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
     }
     // Point aggregates from the truncated stream: retries come from the
     // trials the serial run would have executed (ordinals <= the first
-    // failure) plus the escalated confirmations; the surviving error is
-    // the first failure's, never a later racer's.
+    // failure); the surviving error is the first failure's, never a later
+    // racer's.
     const std::uint32_t f =
         state[i].first_failed.load(std::memory_order_acquire);
     const bool quarantined = f != kNoFailure;
-    std::uint32_t retry_total = confirm_retries[i];
+    std::uint32_t retry_total = 0;
     for (std::uint32_t t = 0; t < trials && t <= f; ++t) {
       retry_total += trial_retries[i][t];
     }

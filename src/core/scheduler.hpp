@@ -3,11 +3,10 @@
 // TrialScheduler: the ordering/batching stage of the study pipeline.
 //
 // The scheduler owns the (point, trial) job matrix of one batch: journal
-// replay, concurrent guarded execution on a TrialExecutor pool,
-// watchdog-storm response, escalated uncontended INF_LOOP
-// re-confirmation, and the final deterministic aggregation in
-// (point, trial) order. It is engine-agnostic — trials execute through
-// the narrow TrialRunner interface (implemented by Campaign, which
+// replay, concurrent guarded execution on a TrialExecutor pool, and the
+// final deterministic aggregation in (point, trial) order. It is
+// engine-agnostic — trials execute through the narrow TrialRunner
+// interface (implemented by Campaign, which
 // routes each run_guarded call either to an in-process world or to
 // the fork-server worker pool, per the --isolation knob; the scheduler
 // never knows which backend ran a trial) — and
@@ -20,7 +19,6 @@
 // is free (per-trial RNG identity is order-independent), observation
 // order is not.
 
-#include <chrono>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -48,20 +46,10 @@ class TrialRunner {
 
   virtual ~TrialRunner() = default;
 
-  /// One guarded trial of `point` under `watchdog`. Deterministic in
-  /// (engine seed, point, trial); must be safe to call concurrently.
+  /// One guarded trial of `point`. Deterministic in (engine seed, point,
+  /// trial); must be safe to call concurrently.
   virtual Attempt run_guarded(const InjectionPoint& point,
-                              std::uint64_t trial,
-                              std::chrono::milliseconds watchdog) = 0;
-
-  /// Current per-trial watchdog budget (may change after recalibration).
-  virtual std::chrono::milliseconds watchdog() const = 0;
-
-  /// Watchdog-storm response: most of a batch's fresh trials timed out,
-  /// which reads as machine overload, not an epidemic of genuine hangs.
-  /// The engine re-measures its golden wall time, recalibrates the
-  /// watchdog, and degrades `pool` toward serial for later batches.
-  virtual void recalibrate_after_storm(std::size_t pool) = 0;
+                              std::uint64_t trial) = 0;
 };
 
 /// One recorded (point, trial) outcome, observed in deterministic
@@ -157,15 +145,11 @@ class TelemetrySink final : public OutcomeSink {
 struct BatchStats {
   std::uint64_t replayed = 0;                ///< trials served from journal
   std::uint64_t deterministic_deadlocks = 0; ///< structurally proven INF_LOOPs
-  std::uint64_t confirmations = 0;           ///< escalated re-confirmations
-  std::uint64_t recalibrations = 0;          ///< storm recalibrations
   std::uint64_t quarantined_points = 0;      ///< points given up on
 };
 
 struct SchedulerConfig {
-  std::size_t pool = 1;         ///< concurrent (point, trial) jobs
-  double storm_fraction = 0.5;  ///< fresh-timeout fraction that is a storm
-  std::uint32_t watchdog_escalation = 4;  ///< re-confirmation multiplier
+  std::size_t pool = 1;  ///< concurrent (point, trial) jobs
 };
 
 class TrialScheduler {

@@ -15,12 +15,10 @@
 //    (--snapshot-cache-mb).
 //
 //  * GoldenCache — process-wide memo of (workload, params, nranks, seed,
-//    algorithms, hang detection) -> (golden digest, wall time), so a
-//    study that builds many campaigns over the same configuration pays
-//    for the fault-free run once. Watchdog-storm recalibration bypasses
-//    the read and refreshes the entry (the invalidation hook).
+//    algorithms) -> (golden digest, per-rank step counts), so a study
+//    that builds many campaigns over the same configuration pays for the
+//    fault-free run once.
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -32,6 +30,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "minimpi/snapshot.hpp"
 
@@ -120,22 +119,20 @@ class SnapshotCache {
 };
 
 /// Process-wide golden-run memo. Keys are opaque strings composed by the
-/// campaign (workload name, params, nranks, seed, algorithms, hang
-/// detection); values are the verified digest and wall time of one
-/// successful fault-free run.
+/// campaign (workload name, params, nranks, seed, algorithms); values are
+/// the verified digest and per-rank step counts of one successful
+/// fault-free run. Both are pure functions of the key.
 class GoldenCache {
  public:
   struct Value {
     std::uint64_t digest = 0;
-    std::chrono::milliseconds wall{0};
+    std::vector<std::uint64_t> steps;  ///< WorldResult::steps
   };
 
   static GoldenCache& instance();
 
   std::optional<Value> find(const std::string& key) const;
   void put(const std::string& key, const Value& value);
-  /// Drops one entry (watchdog recalibration refreshes it afterwards).
-  void invalidate(const std::string& key);
   std::size_t size() const;
   void clear();  // tests
 

@@ -22,7 +22,8 @@ enum class Outcome : std::uint8_t {
                     ///< registry, or — under --isolation process — a
                     ///< genuine signal death of the trial worker
   WrongAns = 4,     ///< clean exit, answer differs from the fault-free run
-  InfLoop = 5,      ///< the job hung and was killed by the watchdog
+  InfLoop = 5,      ///< the job hung: a proven deadlock, or a rank that
+                    ///< exhausted its step budget (livelock)
   RankDead = 6,     ///< fail-stop rank death tore the job down
   Repaired = 7,     ///< fail-stop death, but survivors shrank and continued
 };
@@ -63,8 +64,8 @@ Outcome classify(const mpi::WorldResult& result, std::uint64_t trial_digest,
 struct TrialForensics {
   Outcome outcome = Outcome::Success;
   /// True when the INF_LOOP was *proven* at world quiescence (structural
-  /// deadlock) rather than inferred from the watchdog deadline — the
-  /// campaign layer skips escalated re-confirmation for these.
+  /// deadlock) rather than reached at a rank's step budget (livelock).
+  /// Both verdicts are deterministic; this flag tells them apart.
   bool deterministic_hang = false;
   /// One-line world autopsy (per-rank phase counts + verdict); empty for
   /// SUCCESS.

@@ -239,12 +239,9 @@ void FiberScheduler::make_ready(int fiber) {
 }
 
 void FiberScheduler::post(std::function<void()> task) {
-  {
-    std::lock_guard lock(inbox_mutex_);
-    inbox_.push_back(std::move(task));
-    inbox_pending_.store(true, std::memory_order_release);
-  }
-  inbox_cv_.notify_one();
+  std::lock_guard lock(inbox_mutex_);
+  inbox_.push_back(std::move(task));
+  inbox_pending_.store(true, std::memory_order_release);
 }
 
 void FiberScheduler::drain_inbox() {
@@ -266,20 +263,6 @@ std::vector<int> FiberScheduler::blocked() const {
     }
   }
   return out;
-}
-
-bool FiberScheduler::wait_for_ready(
-    std::chrono::steady_clock::time_point deadline) {
-  for (;;) {
-    drain_inbox();
-    if (!ready_.empty()) return true;
-    std::unique_lock lock(inbox_mutex_);
-    if (!inbox_cv_.wait_until(lock, deadline, [this] {
-          return inbox_pending_.load(std::memory_order_relaxed);
-        })) {
-      return false;
-    }
-  }
 }
 
 void FiberScheduler::run(const std::function<void(int)>& body,
@@ -324,7 +307,7 @@ void FiberScheduler::run(const std::function<void(int)>& body,
       continue;
     }
     // No runnable fiber. The idle handler owns the verdict: wake a
-    // satisfiable wait, prove a deadlock, or wait out the watchdog.
+    // satisfiable wait or prove a deadlock.
     on_idle();
   }
 

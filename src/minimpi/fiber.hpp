@@ -31,8 +31,6 @@
 // other code.
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <exception>
@@ -93,10 +91,10 @@ class FiberScheduler {
   /// Runs body(i) for every fiber i to completion, multiplexed on the
   /// calling thread. Whenever no fiber is ready and not all have
   /// finished, on_idle() is invoked; it must eventually make a fiber
-  /// ready (wake a satisfiable wait, declare a deadlock and poison, or
-  /// wake all blocked fibers at the watchdog deadline) — with every
-  /// MiniMPI wait a cancellation point, a blocked fiber always unwinds
-  /// once resumed, so run() terminates for every cooperative workload.
+  /// ready (wake a satisfiable wait, or declare a deadlock and poison) —
+  /// with every MiniMPI wait a cancellation point, a blocked fiber always
+  /// unwinds once resumed, so run() terminates for every cooperative
+  /// workload.
   void run(const std::function<void(int)>& body,
            const std::function<void()>& on_idle);
 
@@ -122,7 +120,7 @@ class FiberScheduler {
   void make_ready(int fiber);
 
   /// Hands `task` to the scheduler thread, which runs it between fibers or
-  /// from wait_for_ready(). Callable from any thread; the only entry into
+  /// from the idle handler. Callable from any thread; the only entry into
   /// a running world from outside it.
   void post(std::function<void()> task);
 
@@ -132,10 +130,8 @@ class FiberScheduler {
   /// Blocked fibers in rank order — the idle handler's scan set.
   std::vector<int> blocked() const;
 
-  /// Idle wait: runs posted tasks as they arrive until a fiber is ready or
-  /// `deadline` passes. Returns true when a fiber is ready. Only
-  /// meaningful from on_idle().
-  bool wait_for_ready(std::chrono::steady_clock::time_point deadline);
+  /// Whether some fiber is ready to resume.
+  bool has_ready() const noexcept { return !ready_.empty(); }
 
   /// Fibers whose body has returned.
   int finished() const noexcept { return finished_; }
@@ -172,7 +168,6 @@ class FiberScheduler {
 
   // The inbox: the only state other threads touch.
   std::mutex inbox_mutex_;
-  std::condition_variable inbox_cv_;
   std::vector<std::function<void()>> inbox_;
   std::atomic<bool> inbox_pending_{false};
 

@@ -38,9 +38,7 @@ void Mailbox::set_fiber_waker(FiberScheduler* sched, int owner_rank) {
   fiber_rank_ = owner_rank;
 }
 
-Message Mailbox::receive(int source, std::uint64_t tag,
-                         std::chrono::steady_clock::time_point deadline,
-                         bool revocable) {
+Message Mailbox::receive(int source, std::uint64_t tag, bool revocable) {
   if (!on_owner_thread() || !FiberScheduler::active()->in_fiber()) {
     throw InternalError("Mailbox::receive called outside its rank fiber");
   }
@@ -55,8 +53,7 @@ Message Mailbox::receive(int source, std::uint64_t tag,
       queue_.erase(it);
       return out;
     }
-    // No match: doom, poison and revocation are checked before the
-    // deadline, so a teardown is never misreported as a hang.
+    // No match: doom, poison and revocation end the wait.
     if (doom_ != nullptr && doom_->load(std::memory_order_acquire)) {
       throw RankKilled(doom_rank_, "rank " + std::to_string(doom_rank_) +
                                        " killed while waiting for rank " +
@@ -69,13 +66,8 @@ Message Mailbox::receive(int source, std::uint64_t tag,
       throw RankRevoked("communicator revoked while waiting for rank " +
                         std::to_string(source));
     }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      throw SimTimeout("receive from rank " + std::to_string(source) +
-                       " tag " + std::to_string(tag) +
-                       " never matched (job hang)");
-    }
     // The rendezvous is the yield point: park this fiber until a
-    // delivery, wake, or the idle handler's deadline sweep resumes it.
+    // delivery or a wake resumes it.
     sched->block_current();
   }
 }

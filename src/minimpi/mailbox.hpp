@@ -7,12 +7,12 @@
 // corrupted parameter that makes ranks disagree about the communication
 // schedule — e.g. a flipped `root` — produces a genuine unmatched
 // send/recv. A receive parks the calling rank fiber until its message
-// arrives; past the deadline the rank raises SimTimeout (the job "hangs",
-// paper: INF_LOOP), and when another rank has already failed, the world
-// poison wakes every waiter with WorldAborted so trials finish promptly.
+// arrives; when no rank can ever send it, the world proves the deadlock at
+// quiescence (paper: INF_LOOP), and when another rank has already failed,
+// the world poison wakes every waiter with WorldAborted so trials finish
+// promptly.
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -45,7 +45,7 @@ struct PoisonState {
   void revoke() { revoked_flag.store(true, std::memory_order_release); }
 };
 
-/// Unbounded mailbox with (source, tag) matching and deadline waits.
+/// Unbounded mailbox with (source, tag) matching and parking waits.
 ///
 /// Thread-confinement: while a scheduler is attached (set_fiber_waker),
 /// the queue belongs to that scheduler's thread, and deliver(), receive()
@@ -63,10 +63,11 @@ class Mailbox {
   /// thread, whose delivery is routed through the scheduler inbox).
   void deliver(Message message);
 
-  /// Blocks until a message matching (source, tag) is available, the
-  /// deadline passes (throws SimTimeout), or the world is poisoned (throws
-  /// WorldAborted). Matching is exact; out-of-order arrivals with other
-  /// tags stay queued. When `revocable` is set, a world revocation wakes
+  /// Blocks until a message matching (source, tag) is available or the
+  /// world is poisoned (throws WorldAborted). Matching is exact;
+  /// out-of-order arrivals with other tags stay queued. A wait nobody can
+  /// satisfy stays parked until the world's idle handler proves the
+  /// deadlock and poisons. When `revocable` is set, a world revocation wakes
   /// the wait with RankRevoked (receives on post-repair communicators pass
   /// revocable=false and keep waiting). A doomed owner (World::kill_rank
   /// or a fail-stop fault on this rank) raises RankKilled instead.
@@ -74,9 +75,7 @@ class Mailbox {
   /// Must be called from a fiber of the FiberScheduler installed with
   /// set_fiber_waker: the wait yields that fiber, and the rendezvous is
   /// the scheduler's only yield point.
-  Message receive(int source, std::uint64_t tag,
-                  std::chrono::steady_clock::time_point deadline,
-                  bool revocable = true);
+  Message receive(int source, std::uint64_t tag, bool revocable = true);
 
   /// Arms the fail-stop kill signal for this mailbox's owning rank:
   /// receive() polls `doomed` and raises RankKilled once it latches.

@@ -63,6 +63,9 @@ Mpi::Mpi(std::shared_ptr<WorldState> state, int world_rank)
     : world_(std::move(state)), world_rank_(world_rank) {
   const WorldOptions& options = world_->options();
   recorder_ = options.recorder.get();
+  if (!options.step_budget.empty()) {
+    step_budget_ = options.step_budget[static_cast<std::size_t>(world_rank_)];
+  }
   if (options.replay) {
     replay_ops_ =
         &options.replay->recording->ops[static_cast<std::size_t>(world_rank_)];
@@ -249,20 +252,24 @@ int Mpi::size(Comm comm) const {
   return static_cast<int>(world_->group_of(comm).size());
 }
 
+void Mpi::step() {
+  if (++steps_ > step_budget_) {
+    throw SimTimeout("rank " + std::to_string(world_rank_) +
+                     ": step budget of " + std::to_string(step_budget_) +
+                     " exhausted (livelock)");
+  }
+}
+
 void Mpi::check_deadline() {
   // The heartbeat records that this rank is alive in a compute loop;
-  // genuine livelock never reaches quiescence, so it falls through to the
-  // watchdog below.
+  // livelock never reaches quiescence, so the step budget ends it.
   world_->progress().bump(world_rank_);
   check_doom();
   if (world_->poisoned()) {
     throw WorldAborted("rank " + std::to_string(world_rank_) +
                        ": compute loop interrupted by world teardown");
   }
-  if (std::chrono::steady_clock::now() > world_->deadline()) {
-    throw SimTimeout("rank " + std::to_string(world_rank_) +
-                     ": compute loop exceeded the watchdog (job hang)");
-  }
+  step();
 }
 
 void Mpi::publish_op(const char* op, Comm comm, std::uint32_t seq, int root) {
@@ -362,17 +369,13 @@ std::span<const std::byte> Mpi::recv_internal(Comm comm, int source,
       world_rank_, source, members[static_cast<std::size_t>(source)], tag);
   WaitScope scope(world_->progress(), world_rank_);
   try {
-    Message message = world_->mailbox(world_rank_).receive(
-        source, tag, world_->deadline(), revocable);
+    Message message =
+        world_->mailbox(world_rank_).receive(source, tag, revocable);
     // Keep the payload's storage as this rank's inbound buffer and return
     // the storage it replaces to the world for the next packed message.
     inbound_.swap(message.payload);
     world_->recycle_payload(std::move(message.payload));
     return inbound_;
-  } catch (const SimTimeout& timeout) {
-    throw SimTimeout("rank " + std::to_string(world_rank_) + " blocked in " +
-                     world_->progress().snapshot(world_rank_).sig.describe() +
-                     ": " + timeout.what());
   } catch (const WorldAborted& aborted) {
     throw WorldAborted("rank " + std::to_string(world_rank_) + " blocked in " +
                        world_->progress().snapshot(world_rank_).sig.describe() +
@@ -421,6 +424,7 @@ void Mpi::dispatch_p2p(P2pCall& call, std::source_location loc) {
 
 void Mpi::send(const void* buf, std::int32_t count, Datatype dtype, int dest,
                std::int32_t tag, Comm comm, std::source_location loc) {
+  step();
   P2pCall call;
   call.kind = P2pKind::Send;
   call.buffer = const_cast<void*>(buf);  // fault model mutates app data
@@ -463,6 +467,7 @@ void Mpi::send(const void* buf, std::int32_t count, Datatype dtype, int dest,
 
 void Mpi::recv(void* buf, std::int32_t count, Datatype dtype, int source,
                std::int32_t tag, Comm comm, std::source_location loc) {
+  step();
   P2pCall call;
   call.kind = P2pKind::Recv;
   call.buffer = buf;
@@ -519,6 +524,7 @@ Mpi::Request Mpi::irecv(void* buf, std::int32_t count, Datatype dtype,
   // prefix recording does not model; recording runs fall back, replay
   // runs cannot legally get here (their recording would have fallen
   // back first, so this is a divergence).
+  step();
   if (replay_active()) {
     throw ReplayError("irecv posted during prefix replay");
   }
@@ -578,6 +584,7 @@ void Mpi::waitall(std::span<Request> requests) {
 // --- dispatch ----------------------------------------------------------------
 
 void Mpi::dispatch(CollectiveCall& call, std::source_location loc) {
+  step();
   if (replay_active()) {
     // Site identification through the normal counters (so the rank
     // arrives at the cut with live-identical state), then the recorded
@@ -906,6 +913,7 @@ void Mpi::scan(const void* sendbuf, void* recvbuf, std::int32_t count,
 // --- communicator management ---------------------------------------------------
 
 Comm Mpi::comm_split(Comm parent, int color, int key) {
+  step();
   if (replay_active()) {
     throw ReplayError("comm_split during prefix replay");
   }

@@ -83,12 +83,18 @@ class Mpi {
 
   MemoryRegistry& registry() { return world_->registry(world_rank_); }
 
-  /// Cooperative watchdog check for application compute loops; throws
-  /// SimTimeout past the deadline and WorldAborted once the world is
-  /// poisoned. Workloads call this once per outer iteration. Also bumps
+  /// Cooperative check for application compute loops; workloads call it
+  /// once per outer iteration. It is one step against this rank's step
+  /// budget (WorldOptions::step_budget), so a loop that never ends raises
+  /// SimTimeout once the budget is spent; it throws WorldAborted once the
+  /// world is poisoned and RankKilled once this rank is doomed. Also bumps
   /// this rank's heartbeat, so a compute loop reads as live progress in
-  /// autopsies (livelock keeps the timeout path).
+  /// autopsies.
   void check_deadline();
+
+  /// Steps taken so far: MiniMPI operation entries plus check_deadline
+  /// calls, counted identically with prefix replay on or off.
+  std::uint64_t steps() const noexcept { return steps_; }
 
   /// Shadow-stack probe: where this rank is in application terms. The
   /// trial runner installs one per rank (backed by the rank's trace
@@ -287,7 +293,7 @@ class Mpi {
                      std::vector<std::byte> payload);
 
   /// Receives raw bytes from `source` (rank within `comm`); blocks until
-  /// matched, the watchdog deadline, or world poisoning. The view stays
+  /// matched, world poisoning, or this rank's doom. The view stays
   /// valid until this rank's next receive, which reuses its storage.
   std::span<const std::byte> recv_internal(Comm comm, int source,
                                            std::uint64_t tag);
@@ -358,6 +364,9 @@ class Mpi {
   /// raises RankKilled when this rank is doomed.
   void check_doom() const;
 
+  /// Counts one step; the step past this rank's budget raises SimTimeout.
+  void step();
+
   /// Delivers messages held back by a MessageDelay fault, in the order
   /// they were held. Runs after each subsequent send and at rank end, so
   /// the delay is bounded by the rank's own program order (deterministic).
@@ -365,6 +374,9 @@ class Mpi {
 
   std::shared_ptr<WorldState> world_;
   int world_rank_;
+  std::uint64_t steps_ = 0;
+  /// This rank's entry of WorldOptions::step_budget (max = unbounded).
+  std::uint64_t step_budget_ = UINT64_MAX;
   std::function<StackProbe()> stack_probe_;
   /// Per-communicator collective sequence numbers (lockstep across ranks
   /// in fault-free execution; divergence surfaces as unmatched traffic).

@@ -4,7 +4,7 @@
 // detection and world autopsies.
 //
 // Every rank publishes (a) a heartbeat that advances on any forward step
-// (collective entry, message send, compute-loop deadline check, wait
+// (collective entry, message send, compute-loop check_deadline(), wait
 // exit) and (b) a pending-operation signature — op name, communicator,
 // sequence number, root, awaited peer and transport tag, shadow-stack id
 // — whenever it enters a mailbox rendezvous. When the fiber scheduler
@@ -112,8 +112,8 @@ struct RankAutopsy {
 
 /// Forensic snapshot of the whole world, captured when the initiating
 /// event is recorded (poison time). `deterministic` marks a hang that was
-/// proven structurally at quiescence rather than inferred from the
-/// watchdog deadline.
+/// proven structurally at quiescence (a deadlock) rather than reached at a
+/// rank's step budget (a livelock).
 struct WorldAutopsy {
   bool deterministic = false;
   std::string verdict;  ///< detector conclusion / event description

@@ -29,6 +29,11 @@ WorldState::WorldState(const WorldOptions& options)
   if (options_.nranks < 1) {
     throw ConfigError("World: nranks must be at least 1");
   }
+  if (!options_.step_budget.empty() &&
+      static_cast<int>(options_.step_budget.size()) != options_.nranks) {
+    throw ConfigError("World: step budget rank count mismatch");
+  }
+  steps_.assign(static_cast<std::size_t>(options_.nranks), 0);
   mailboxes_.reserve(static_cast<std::size_t>(options_.nranks));
   registries_.reserve(static_cast<std::size_t>(options_.nranks));
   for (int r = 0; r < options_.nranks; ++r) {
@@ -144,8 +149,8 @@ void WorldState::capture_event(int rank, const FaultEvent& event,
     }
     if (auto& rec = telemetry::Recorder::instance();
         rec.enabled() && captured.type == EventType::Timeout) {
-      // A proven deadlock and a watchdog expiry are different verdicts:
-      // the first is structural, the second wall-clock.
+      // The two hang verdicts: a deadlock proven at quiescence, or a rank
+      // that exhausted its step budget (livelock).
       if (autopsy && autopsy->deterministic) {
         rec.instant("deadlock-proven", telemetry::Track::Monitor, 0,
                     "rank=" + std::to_string(rank));
@@ -154,11 +159,12 @@ void WorldState::capture_event(int rank, const FaultEvent& event,
                         "Structurally proven deadlocks");
         proven.add();
       } else {
-        rec.instant("watchdog-fire", telemetry::Track::Monitor, 0,
+        rec.instant("step-budget-exhausted", telemetry::Track::Monitor, 0,
                     "rank=" + std::to_string(rank));
-        static auto& fires = rec.counter("fastfit_watchdog_fires_total",
-                                         "Wall-clock watchdog expiries");
-        fires.add();
+        static auto& exhausted =
+            rec.counter("fastfit_step_budgets_exhausted_total",
+                        "Ranks stopped at their step budget (livelock)");
+        exhausted.add();
       }
     }
     event_ = std::move(captured);
@@ -274,11 +280,16 @@ void WorldState::declare_deadlock(const std::vector<RankSnapshot>& snaps) {
 }
 
 void WorldState::fiber_idle(FiberScheduler& sched) {
-  // Pass 1: wake anything that can still make progress. A doomed or
-  // poisoned rank must observe its fate at the next cancellation point,
-  // and a blocked rank whose awaited (source, tag) is already queued is
-  // about to match (deliveries wake the owner eagerly; this scan is the
-  // idle-time backstop).
+  // A foreign kill_rank, poison wake or delivery may be waiting in the
+  // inbox; apply it before judging quiescence.
+  sched.drain_inbox();
+  if (sched.has_ready()) return;
+
+  // Wake anything that can still make progress. A doomed or poisoned rank
+  // must observe its fate at the next cancellation point, and a blocked
+  // rank whose awaited (source, tag) is already queued is about to match
+  // (deliveries wake the owner eagerly; this scan is the idle-time
+  // backstop).
   bool woke = false;
   const auto blocked = sched.blocked();
   for (int r : blocked) {
@@ -298,20 +309,12 @@ void WorldState::fiber_idle(FiberScheduler& sched) {
 
   // Quiescence: no runnable fiber, no queued message any blocked fiber
   // awaits, and provably no send in flight (sends are synchronous on this
-  // very thread). This IS the structural deadlock.
-  if (options_.hang_detection && options_.nranks > 1 &&
-      !poison_.revoked_flag.load(std::memory_order_acquire)) {
-    declare_deadlock(progress_.snapshot_all());
-    return;  // capture_event poisoned; its wake storm marked fibers ready
-  }
-
-  // Watchdog fallback (detection off, a single-rank world, or an
-  // in-progress revocation, whose survivors are about to wake with
-  // RankRevoked): wait for an external wake — kill_rank or a poison from
-  // another thread — or the deadline, then resume every blocked fiber in
-  // rank order so the first raises SimTimeout.
-  if (sched.wait_for_ready(deadline_)) return;
-  for (int r : sched.blocked()) sched.make_ready(r);
+  // very thread). This IS the structural deadlock, in every world: a
+  // single rank awaiting itself, and the survivors of a revocation, which
+  // park only in non-revocable waits (the revocation already woke every
+  // revocable one).
+  declare_deadlock(progress_.snapshot_all());
+  // capture_event poisoned; its wake storm marked the fibers ready.
 }
 
 World::World(WorldOptions options)
@@ -327,7 +330,6 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
 
   const auto state = state_;
   const int nranks = state->options_.nranks;
-  state->deadline_ = std::chrono::steady_clock::now() + state->options_.watchdog;
 
   if (const auto& replay = state->options_.replay) {
     if (static_cast<int>(replay->cut.size()) != nranks) {
@@ -384,6 +386,7 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
       }
       state->poison_and_wake();
     }
+    state->steps_[static_cast<std::size_t>(r)] = mpi.steps();
     state->progress_.publish_exited(r);
   };
 
@@ -414,6 +417,7 @@ WorldResult World::run(const std::function<void(Mpi&)>& rank_main) {
                     state->repaired_count_ == nranks - dead;
   result.event = state->event_;
   result.autopsy = state->autopsy_;
+  result.steps = state->steps_;
   return result;
 }
 

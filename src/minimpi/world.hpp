@@ -14,10 +14,12 @@
 // Every MiniMPI wait is a fiber yield point, so when no fiber is runnable
 // and no blocked rank's awaited message is queued, the ranks are provably
 // deadlocked: the world declares INF_LOOP at that instant, with the
-// progress table (minimpi/progress.hpp) as the autopsy, instead of burning
-// the watchdog budget. Genuine livelock (a loop that keeps calling MiniMPI
-// without progress) still falls back to the wall-clock watchdog. A rank
-// that spins without ever entering MiniMPI is outside any in-process
+// progress table (minimpi/progress.hpp) as the autopsy. Livelock (a loop
+// that keeps calling MiniMPI or Mpi::check_deadline without finishing) is
+// bounded by a per-rank step budget (WorldOptions::step_budget): the rank
+// that exhausts it raises SimTimeout. Both verdicts count logical events,
+// never wall time, so a hang verdict is a pure function of the trial. A
+// rank that spins without ever entering MiniMPI is outside any in-process
 // bound; process isolation's worker lease contains it.
 //
 // A fiber never outlives run(): every rank unwinds before it returns, and
@@ -77,18 +79,17 @@ struct CollectiveAlgorithms {
 
 struct WorldOptions {
   int nranks = 32;
-  /// Rendezvous watchdog: a collective that has not completed after this
-  /// long is declared hung (paper Table I: INF_LOOP). Must comfortably
-  /// exceed the fault-free runtime of the workload. With hang_detection
-  /// on this is the *fallback* budget: structural deadlocks are declared
-  /// long before it expires.
+  /// Unread: no wall clock bounds a world. Kept because perfbench names it.
   std::chrono::milliseconds watchdog{500};
   std::uint64_t seed = 0x5eedULL;
   CollectiveAlgorithms algorithms;
-  /// Deterministic hang detection: declare a deadlock structurally the
-  /// moment no rank can make progress, instead of waiting for the
-  /// watchdog. Livelock still uses the timeout path.
-  bool hang_detection = true;
+  /// Per-rank step budget, indexed by world rank; empty = unbounded. A
+  /// rank's steps are its MiniMPI operation entries plus its
+  /// Mpi::check_deadline calls (see WorldResult::steps). The step that
+  /// takes a rank past its budget raises SimTimeout (paper Table I:
+  /// INF_LOOP): the livelock verdict. Deadlocks never need it; they are
+  /// proven at quiescence.
+  std::vector<std::uint64_t> step_budget;
   /// When set, every rank logs its MPI ops and transport payloads here —
   /// the campaign's one fault-free recording run (minimpi/snapshot.hpp).
   std::shared_ptr<PrefixRecorder> recorder;
@@ -108,7 +109,7 @@ enum class EventType : std::uint8_t {
   AppDetected,  ///< application's own error handling aborted
   MpiErr,       ///< MiniMPI validation rejected a parameter
   SegFault,     ///< memory-registry bounds violation
-  Timeout,      ///< watchdog fired or deadlock proven: the job hung
+  Timeout,      ///< deadlock proven or step budget exhausted: the job hung
   RankDead,     ///< fail-stop fault killed a rank mid-run
 };
 
@@ -143,6 +144,10 @@ struct WorldResult {
   /// Repair mode was on, a rank died, and *every* survivor completed its
   /// repair hook on the shrunken communicator (outcome REPAIRED).
   bool repaired = false;
+  /// Steps each rank took (MiniMPI operation entries plus check_deadline
+  /// calls), indexed by world rank. The same with prefix replay on or
+  /// off; a campaign derives its step budgets from the golden run's.
+  std::vector<std::uint64_t> steps;
 
   bool clean() const noexcept { return !event.has_value(); }
 };
@@ -161,9 +166,6 @@ class WorldState {
   ProgressTable& progress() noexcept { return progress_; }
   PoisonState& poison() noexcept { return poison_; }
   bool poisoned();
-  std::chrono::steady_clock::time_point deadline() const noexcept {
-    return deadline_;
-  }
   ToolHooks* tools() const noexcept { return tools_; }
 
   /// Records the initiating failure (first wins; WorldAborted never
@@ -177,7 +179,7 @@ class WorldState {
   /// all waiters so survivors observe RankRevoked (repair on).
   void report_rank_death(int rank, const RankKilled& event);
 
-  /// Marks `world_rank` doomed: its next transport wait, deadline check,
+  /// Marks `world_rank` doomed: its next transport wait, check_deadline,
   /// or collective dispatch raises RankKilled on its own fiber. The
   /// injector's rank-death manifestation and tests use this primitive.
   /// Callable from any thread.
@@ -245,11 +247,9 @@ class WorldState {
   void declare_deadlock(const std::vector<RankSnapshot>& snaps);
 
   /// The scheduler's idle handler: invoked when no fiber is runnable.
-  /// Wakes satisfiable or doomed waits; with nothing to wake, quiescence
-  /// ("no runnable fiber, no queued message") IS the structural deadlock.
-  /// The watchdog fallback (detection off, single rank, or an in-progress
-  /// revocation) waits out the deadline and then wakes every blocked
-  /// fiber in rank order.
+  /// Drains the foreign inbox, then wakes satisfiable or doomed waits;
+  /// with nothing to wake, quiescence ("no runnable fiber, no queued
+  /// message") IS the structural deadlock. Never waits on a clock.
   void fiber_idle(FiberScheduler& sched);
 
   WorldOptions options_;
@@ -257,7 +257,8 @@ class WorldState {
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<MemoryRegistry>> registries_;
   ProgressTable progress_;
-  std::chrono::steady_clock::time_point deadline_{};
+  /// Steps per rank, written as each rank's fiber ends (WorldResult::steps).
+  std::vector<std::uint64_t> steps_;
 
   std::optional<CapturedEvent> event_;
   std::optional<WorldAutopsy> autopsy_;
@@ -326,14 +327,11 @@ class World {
   }
   PoisonState& poison() noexcept { return state_->poison(); }
   bool poisoned() { return state_->poisoned(); }
-  std::chrono::steady_clock::time_point deadline() const noexcept {
-    return state_->deadline();
-  }
   void report_event(int rank, const FaultEvent& event) {
     state_->report_event(rank, event);
   }
   /// Fail-stop test primitive: dooms one rank; it dies at its next
-  /// cancellation point (transport wait, deadline check, dispatch).
+  /// cancellation point (transport wait, check_deadline, dispatch).
   /// Callable from any thread.
   void kill_rank(int world_rank) { state_->kill_rank(world_rank); }
   Comm register_comm(const std::string& key, std::vector<int> members) {

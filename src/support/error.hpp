@@ -5,9 +5,10 @@
 // Every failure mode a fault-injection trial can provoke is modelled as an
 // exception derived from FaultEvent, so a trial can run millions of times
 // in-process without ever taking the host down: a "segfault" is a
-// bounds-registry violation, a "hang" is a watchdog timeout, an "MPI abort"
-// is a validation failure. The outcome classifier (inject/outcome.hpp) maps
-// these onto the paper's Table I response taxonomy.
+// bounds-registry violation, a "hang" is a proven deadlock or an exhausted
+// step budget, an "MPI abort" is a validation failure. The outcome
+// classifier (inject/outcome.hpp) maps these onto the paper's Table I
+// response taxonomy.
 
 #include <stdexcept>
 #include <string>
@@ -98,8 +99,8 @@ class AppError : public FaultEvent {
   explicit AppError(const std::string& what) : FaultEvent(what) {}
 };
 
-/// The watchdog fired: a collective rendezvous never completed, i.e. the
-/// job would hang until killed (paper Table I: INF_LOOP).
+/// The job would hang until killed (paper Table I: INF_LOOP): the world
+/// proved a deadlock at quiescence, or a rank exhausted its step budget.
 class SimTimeout : public FaultEvent {
  public:
   explicit SimTimeout(const std::string& what) : FaultEvent(what) {}

@@ -125,13 +125,14 @@ std::string ProgressMeter::render_line(const MetricsSnapshot& snapshot,
 
   char health[160];
   std::snprintf(
-      health, sizeof(health), " | retries=%llu quarantined=%llu watchdog=%llu",
+      health, sizeof(health),
+      " | retries=%llu quarantined=%llu step-budget=%llu",
       static_cast<unsigned long long>(
           snapshot.counter_sum("fastfit_trial_retries_total")),
       static_cast<unsigned long long>(
           snapshot.counter_sum("fastfit_quarantined_points_total")),
       static_cast<unsigned long long>(
-          snapshot.counter_sum("fastfit_watchdog_fires_total")));
+          snapshot.counter_sum("fastfit_step_budgets_exhausted_total")));
   line += health;
   if (snapshot.dropped_events > 0) {
     line += " dropped=" + std::to_string(snapshot.dropped_events);

@@ -5,7 +5,7 @@
 //
 // The recorder is the measurement substrate under every "where does
 // campaign time go" question: the trial lifecycle (queue wait, world
-// execution, classification, watchdog confirmations), journal fsync
+// execution, classification), journal fsync
 // batches, ML-loop rounds, and the per-rank world internals all report
 // here, and the exporters (telemetry/exporters.hpp) turn the result into
 // a Perfetto-loadable Chrome trace plus a Prometheus/JSON metrics
@@ -47,7 +47,7 @@ enum class Track : std::uint8_t {
   Main = 0,  ///< the campaign driver thread
   Executor,  ///< TrialExecutor workers (index = worker ordinal)
   Rank,      ///< simulated MPI ranks (index = world rank)
-  Monitor,   ///< deadlock verdicts, watchdog fires, progress meter
+  Monitor,   ///< hang verdicts (deadlock, step budget), progress meter
   MlLoop,    ///< injection ⇄ learning feedback loop
   Journal,   ///< durable trial journal fsync batches
 };

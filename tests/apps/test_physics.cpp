@@ -22,7 +22,6 @@ using namespace std::chrono_literals;
 mpi::WorldOptions opts(int n) {
   mpi::WorldOptions o;
   o.nranks = n;
-  o.watchdog = 30000ms;
   return o;
 }
 

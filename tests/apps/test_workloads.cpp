@@ -19,7 +19,6 @@ using namespace std::chrono_literals;
 mpi::WorldOptions opts(int n) {
   mpi::WorldOptions o;
   o.nranks = n;
-  o.watchdog = 20000ms;
   o.seed = 1234;
   return o;
 }

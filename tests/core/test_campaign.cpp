@@ -33,7 +33,12 @@ TEST(Campaign, ProfilePopulatesEnumerationAndGolden) {
   campaign.profile();
   EXPECT_NE(campaign.golden_digest(), 0u);
   EXPECT_FALSE(campaign.enumeration().points.empty());
-  EXPECT_GE(campaign.watchdog(), 150ms);
+  // One step budget per rank, a fixed multiple of its golden step count.
+  ASSERT_EQ(campaign.step_budget().size(), 8u);
+  for (const auto budget : campaign.step_budget()) {
+    EXPECT_GT(budget, 0u);
+    EXPECT_EQ(budget % Campaign::kStepBudgetMultiplier, 0u);
+  }
 }
 
 TEST(Campaign, ProfiledSiteFilesAreRepoRelative) {
@@ -189,7 +194,6 @@ TEST(Campaign, SetMaxParallelTrialsThrowsWhileMeasuring) {
   opts.trials_per_point = 2;
   opts.seed = 7;
   opts.max_parallel_trials = 1;
-  opts.watchdog = 30'000ms;  // the gate must not read as a hang
   Campaign campaign(workload, opts);
   campaign.profile();
   ASSERT_FALSE(campaign.enumeration().points.empty());

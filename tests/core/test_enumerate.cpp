@@ -16,7 +16,6 @@ Enumeration enumerate_workload(const std::string& name, int nranks) {
   profile::Profiler profiler(contexts);
   mpi::WorldOptions opts;
   opts.nranks = nranks;
-  opts.watchdog = 20000ms;
   const auto job = apps::run_job(*workload, opts, &profiler, contexts);
   EXPECT_TRUE(job.world.clean());
   return enumerate_points(profiler);

@@ -119,7 +119,6 @@ struct ProfiledRun {
     const auto workload = apps::make_workload(name);
     mpi::WorldOptions opts;
     opts.nranks = nranks;
-    opts.watchdog = 20000ms;
     const auto job = apps::run_job(*workload, opts, &profiler, contexts);
     EXPECT_TRUE(job.world.clean()) << name;
   }

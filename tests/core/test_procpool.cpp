@@ -51,7 +51,7 @@ WorkItem sample_item() {
   item.param = 2;
   item.fault = inject::FaultModelSpec::parse("single-bit-flip@prob=0.25");
   item.trial = 11;
-  item.watchdog_ms = 1234;
+  item.step_budget = {1234, 0, 99};
   return item;
 }
 
@@ -72,7 +72,8 @@ TEST(ProcPool, CompletedReplyRoundTripsEveryField) {
     std::ostringstream echo;
     echo << item.site_id << '/' << item.rank << '/' << item.invocation << '/'
          << static_cast<int>(item.param) << '/' << item.fault.canonical()
-         << '/' << item.trial << '/' << item.watchdog_ms;
+         << '/' << item.trial;
+    for (const auto budget : item.step_budget) echo << '/' << budget;
     reply.autopsy = echo.str();
     return reply;
   });
@@ -82,7 +83,8 @@ TEST(ProcPool, CompletedReplyRoundTripsEveryField) {
   EXPECT_TRUE(result.reply.ok);
   EXPECT_EQ(result.reply.outcome, inject::Outcome::WrongAns);
   EXPECT_TRUE(result.reply.deterministic_hang);
-  EXPECT_EQ(result.reply.autopsy, "42/-3/7/2/single-bit-flip@prob=0.25/11/1234");
+  EXPECT_EQ(result.reply.autopsy,
+            "42/-3/7/2/single-bit-flip@prob=0.25/11/1234/0/99");
   EXPECT_EQ(pool.stats().trials_dispatched, 1u);
   EXPECT_EQ(pool.stats().signal_deaths, 0u);
 }

@@ -1,6 +1,7 @@
 // Crash-resilient campaign execution: the retrying trial guard with
-// quarantine, kill-and-resume through the trial journal, and watchdog
-// escalation / storm recalibration (docs/resilience.md).
+// quarantine, kill-and-resume through the trial journal, and hang verdicts
+// that do not depend on wall time (docs/resilience.md,
+// docs/hang_detection.md).
 
 #include <gtest/gtest.h>
 
@@ -31,7 +32,10 @@ using namespace std::chrono_literals;
 //    guard must retry and quarantine.
 //  - `hang_from`/`hang_until`: rank 0 skips the collectives for jobs
 //    whose ordinal falls in [hang_from, hang_until], so its peers block
-//    until the watchdog fires — a deterministic INF_LOOP storm.
+//    on an exited rank — a deadlock proven at quiescence.
+//  - `slow_from`/`slow_until`: rank 0 sleeps `slow_ms` and then calls
+//    check_deadline() for jobs in that window — slow in wall time, but
+//    finite.
 // Job ordinals count every World execution (golden = 1, profiling = 2,
 // trials from 3), assigned by rank 0 at entry.
 class SupervisedWorkload final : public apps::Workload {
@@ -51,11 +55,16 @@ class SupervisedWorkload final : public apps::Workload {
       if (budget > 0) throw std::runtime_error("synthetic internal flake");
       hang = job >= hang_from.load(std::memory_order_relaxed) &&
              job <= hang_until.load(std::memory_order_relaxed);
+      if (job >= slow_from.load(std::memory_order_relaxed) &&
+          job <= slow_until.load(std::memory_order_relaxed)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(slow_ms));
+        mpi.check_deadline();
+      }
     }
 
     tr.set_phase(trace::ExecPhase::Compute);
     trace::FunctionScope scope(tr, "kernel");
-    if (hang) return 0;  // silent early exit: peers wait until the watchdog
+    if (hang) return 0;  // silent early exit: peers wait on an exited rank
     const double seeded = mpi.bcast_value(
         mpi.rank() == 0 ? static_cast<double>(ctx.input_seed % 97) : 0.0, 0);
     const double total =
@@ -68,6 +77,30 @@ class SupervisedWorkload final : public apps::Workload {
   mutable std::atomic<int> fail_budget{0};
   mutable std::atomic<int> hang_from{0};
   mutable std::atomic<int> hang_until{-1};
+  mutable std::atomic<int> slow_from{0};
+  mutable std::atomic<int> slow_until{-1};
+  int slow_ms = 0;
+};
+
+// A kernel whose loop count travels in a bcast: a flipped bit in it makes
+// every rank call check_deadline() forever — a livelock that never goes
+// quiescent, so only the step budget can end it.
+class LivelockWorkload final : public apps::Workload {
+ public:
+  std::string name() const override { return "livelock"; }
+
+  std::uint64_t run_rank(apps::AppContext& ctx) const override {
+    auto& mpi = ctx.mpi;
+    ctx.trace.set_phase(trace::ExecPhase::Compute);
+    trace::FunctionScope scope(ctx.trace, "kernel");
+    const std::int32_t loops =
+        mpi.bcast_value<std::int32_t>(mpi.rank() == 0 ? 16 : 0, 0);
+    if (loops != 16) {
+      for (;;) mpi.check_deadline();
+    }
+    const double total = mpi.allreduce_value(1.0 * loops, mpi::kSum);
+    return apps::digest_doubles(std::span<const double>(&total, 1), 9);
+  }
 };
 
 CampaignOptions supervised_options() {
@@ -242,66 +275,74 @@ TEST(Resilience, ResumeRefusesChangedSeed) {
   EXPECT_THROW(other.attach_journal(path, JournalMode::Create), ConfigError);
 }
 
-TEST(Resilience, WatchdogStormTriggersRecalibration) {
+TEST(Resilience, SlowButFiniteTrialIsNotInfLoop) {
+  // Regression for outcomes that depended on wall time. The trial's rank 0
+  // sleeps for a second and then reaches check_deadline(). A wall-clock
+  // watchdog (150 ms for this kernel, re-confirmed once at 4x that)
+  // classified it INF_LOOP on both runs; under the step budget a slow
+  // trial is just slow, and it finishes.
   SupervisedWorkload workload;
-  auto opts = supervised_options();
-  opts.max_parallel_trials = 2;
-  // This test exercises the watchdog-timeout path: with deterministic hang
-  // detection on, the synthetic hang (a silent early exit) would be proven
-  // a deadlock in milliseconds and never reach the storm machinery.
-  opts.deterministic_hang_detection = false;
-  Campaign campaign(workload, opts);
+  workload.slow_ms = 1000;
+  Campaign campaign(workload, supervised_options());
   campaign.profile();  // jobs 1 (golden) and 2 (profiling)
-  ASSERT_FALSE(campaign.enumeration().points.empty());
 
-  // Both first-pass trials (jobs 3 and 4) hang: 100% of the batch hits
-  // the watchdog, which must be read as "overloaded machine", not as two
-  // genuine infinite loops. The campaign re-measures the golden wall
-  // time (job 5, outside the hang window), recalibrates, degrades
-  // parallelism, and re-confirms both trials uncontended (jobs 6 and 7,
-  // also outside the window) — so no INF_LOOP survives.
-  workload.hang_from.store(3);
-  workload.hang_until.store(4);
+  // Job 3 is the trial; job 4 would have been the watchdog's re-run.
+  workload.slow_from.store(3);
+  workload.slow_until.store(4);
   const InjectionPoint point = sendbuf_point(campaign);
   const auto result =
-      campaign.measure_many(std::span<const InjectionPoint>(&point, 1), 2);
+      campaign.measure_many(std::span<const InjectionPoint>(&point, 1), 1);
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].trials, 2u);
+  EXPECT_EQ(result[0].trials, 1u);
   EXPECT_EQ(result[0].counts[static_cast<std::size_t>(
                 inject::Outcome::InfLoop)],
             0u);
-  const auto health = campaign.health();
-  EXPECT_EQ(health.watchdog_recalibrations, 1u);
-  EXPECT_EQ(health.watchdog_confirmations, 2u);
-  EXPECT_EQ(campaign.parallel_trials(), 1u);  // degraded toward serial
+  EXPECT_EQ(workload.jobs.load(), 3);  // no re-run
+  EXPECT_TRUE(campaign.health().clean());
 }
 
-TEST(Resilience, SerialInfLoopIsConfirmedWithEscalatedBudget) {
-  SupervisedWorkload workload;
-  auto opts = supervised_options();  // serial: pool = 1, no storm response
-  opts.deterministic_hang_detection = false;  // exercise the timeout path
-  Campaign campaign(workload, opts);
-  campaign.profile();
+TEST(Resilience, LivelockEndsAtStepBudgetIdenticallyAtEveryPoolSize) {
+  LivelockWorkload workload;
+  const auto run = [&workload](std::size_t pool) {
+    auto opts = supervised_options();
+    opts.trials_per_point = 3;
+    opts.max_parallel_trials = pool;
+    Campaign campaign(workload, opts);
+    campaign.profile();
+    return campaign.measure_many(campaign.enumeration().points);
+  };
+  const auto serial = run(1);
+  const auto pooled = run(4);
+  ASSERT_EQ(serial.size(), pooled.size());
 
-  // Job 3 (the only first-pass trial) hangs; the escalated re-run (job 4)
-  // does not. Serial and parallel campaigns must classify identically, so
-  // the confirmation pass runs at every pool size.
-  workload.hang_from.store(3);
-  workload.hang_until.store(3);
-  const auto result = campaign.measure(sendbuf_point(campaign), 1);
-  EXPECT_EQ(result.trials, 1u);
-  EXPECT_EQ(result.counts[static_cast<std::size_t>(inject::Outcome::InfLoop)],
-            0u);
-  const auto health = campaign.health();
-  EXPECT_EQ(health.watchdog_confirmations, 1u);
-  EXPECT_EQ(health.watchdog_recalibrations, 0u);
+  bool livelock_seen = false;
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].counts, pooled[i].counts) << "point " << i;
+    EXPECT_EQ(serial[i].exec.last_autopsy, pooled[i].exec.last_autopsy)
+        << "point " << i;
+    if (serial[i].point.kind == mpi::CollectiveKind::Bcast &&
+        serial[i].point.param == mpi::Param::SendBuf &&
+        serial[i].point.rank == 0) {
+      // Every bit flip of the loop count livelocks the job.
+      livelock_seen = true;
+      EXPECT_EQ(serial[i].counts[static_cast<std::size_t>(
+                    inject::Outcome::InfLoop)],
+                3u);
+      EXPECT_NE(serial[i].exec.last_autopsy.find("step budget of"),
+                std::string::npos)
+          << serial[i].exec.last_autopsy;
+      EXPECT_NE(serial[i].exec.last_autopsy.find("exhausted (livelock)"),
+                std::string::npos)
+          << serial[i].exec.last_autopsy;
+    }
+  }
+  EXPECT_TRUE(livelock_seen);
 }
 
 TEST(Resilience, DeterministicDeadlockBypassesWatchdogMachinery) {
-  // Same synthetic hang as above, but with hang detection on (the default):
-  // the early exit is proven a deadlock structurally, so the trial is
-  // classified INF_LOOP without an escalated re-run, without a storm
-  // recalibration, and with a world autopsy attached to the point.
+  // The synthetic hang (a silent early exit) is proven a deadlock
+  // structurally, so the trial is classified INF_LOOP at once, with a
+  // world autopsy attached to the point and no re-run.
   SupervisedWorkload workload;
   Campaign campaign(workload, supervised_options());
   campaign.profile();
@@ -359,8 +400,8 @@ class ScriptedRunner final : public TrialRunner {
   ScriptedRunner(std::uint32_t fail_site, std::uint32_t fail_trial)
       : fail_site_(fail_site), fail_trial_(fail_trial) {}
 
-  Attempt run_guarded(const InjectionPoint& point, std::uint64_t trial,
-                      std::chrono::milliseconds) override {
+  Attempt run_guarded(const InjectionPoint& point,
+                      std::uint64_t trial) override {
     std::this_thread::sleep_for(
         std::chrono::microseconds((point.site_id * 131 + trial * 37) % 400));
     Attempt attempt;
@@ -372,15 +413,10 @@ class ScriptedRunner final : public TrialRunner {
     }
     attempt.ok = true;
     attempt.retries = static_cast<std::uint32_t>(trial % 2);
-    // % 5: everything but INF_LOOP, so the escalated-confirmation pass
-    // stays out of this test's accounting.
     attempt.outcome = static_cast<inject::Outcome>(
         (point.site_id + trial) % (inject::kNumOutcomes - 1));
     return attempt;
   }
-
-  std::chrono::milliseconds watchdog() const override { return 1000ms; }
-  void recalibrate_after_storm(std::size_t) override {}
 
  private:
   std::uint32_t fail_site_;

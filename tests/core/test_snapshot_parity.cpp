@@ -90,7 +90,7 @@ TEST(SnapshotParity, AutoModeMatchesAndReusesTheRecording) {
   expect_same_counts(off, replayed, "LU auto");
   EXPECT_EQ(stats.recording_builds, 1u);  // shared across all 4 points
   // 3 trials per point share each point's derived cut (>= because guard
-  // retries or watchdog confirmations may re-clone).
+  // retries may re-clone).
   EXPECT_GE(stats.hits, stats.snapshot_builds);
   EXPECT_GE(stats.clones, 4u * 3u);
 }
@@ -166,17 +166,16 @@ TEST(SnapshotParity, GoldenRunIsMemoizedAcrossCampaigns) {
 TEST(SnapshotParity, GoldenCacheInvalidationForcesRemeasure) {
   GoldenCache& cache = GoldenCache::instance();
   cache.clear();
-  cache.put("k", {0xabcd, std::chrono::milliseconds(120)});
+  cache.put("k", {0xabcd, {120, 7}});
   const auto hit = cache.find("k");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->digest, 0xabcdu);
-  EXPECT_EQ(hit->wall.count(), 120);
-  // The watchdog-recalibration hook: invalidate, then the next
-  // run_golden misses and re-measures.
-  cache.invalidate("k");
-  EXPECT_FALSE(cache.find("k").has_value());
-  cache.invalidate("k");  // idempotent
+  EXPECT_EQ(hit->steps, (std::vector<std::uint64_t>{120, 7}));
+  // Clearing the cache (as perfbench does before every timed set-up):
+  // the next run_golden misses and re-measures.
   cache.clear();
+  EXPECT_FALSE(cache.find("k").has_value());
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(SnapshotParity, CacheBudgetMustBePositive) {

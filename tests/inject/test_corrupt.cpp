@@ -17,7 +17,6 @@ template <typename Body>
 void with_allreduce_call(Body body) {
   mpi::WorldOptions o;
   o.nranks = 2;
-  o.watchdog = 2000ms;
   mpi::World world(o);
   world.run([&](mpi::Mpi& mpi) {
     if (mpi.world_rank() != 0) return;
@@ -143,7 +142,6 @@ TEST(Corrupt, DeterministicPerTrialStream) {
 TEST(Corrupt, AlltoallvCountFaultLandsInArray) {
   mpi::WorldOptions o;
   o.nranks = 2;
-  o.watchdog = 2000ms;
   mpi::World world(o);
   world.run([&](mpi::Mpi& mpi) {
     if (mpi.world_rank() != 0) return;

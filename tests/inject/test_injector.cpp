@@ -20,7 +20,6 @@ using namespace std::chrono_literals;
 mpi::WorldOptions opts(int n) {
   mpi::WorldOptions o;
   o.nranks = n;
-  o.watchdog = 2000ms;
   return o;
 }
 

@@ -58,7 +58,6 @@ TEST(Classify, EventWinsOverDigestComparison) {
 mpi::WorldOptions two_ranks() {
   mpi::WorldOptions opts;
   opts.nranks = 2;
-  opts.watchdog = std::chrono::milliseconds(5000);
   return opts;
 }
 

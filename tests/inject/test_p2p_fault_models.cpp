@@ -14,7 +14,6 @@ template <typename Body>
 void with_p2p_call(Body body) {
   mpi::WorldOptions o;
   o.nranks = 2;
-  o.watchdog = 2000ms;
   mpi::World world(o);
   world.run([&](mpi::Mpi& mpi) {
     if (mpi.world_rank() != 0) return;

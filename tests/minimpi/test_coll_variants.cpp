@@ -11,11 +11,9 @@ namespace {
 
 using namespace std::chrono_literals;
 
-WorldOptions opts(int n, CollectiveAlgorithms algorithms,
-                  std::chrono::milliseconds watchdog = 5000ms) {
+WorldOptions opts(int n, CollectiveAlgorithms algorithms) {
   WorldOptions o;
   o.nranks = n;
-  o.watchdog = watchdog;
   o.algorithms = algorithms;
   return o;
 }
@@ -100,7 +98,7 @@ TEST(CollVariants, ChainBreakStallsDownstreamOnly) {
 
   CollectiveAlgorithms algorithms;
   algorithms.bcast = CollectiveAlgorithms::Bcast::Chain;
-  World world(opts(6, algorithms, 200ms));
+  World world(opts(6, algorithms));
   world.set_tools(&hooks);
   const auto result = world.run([](Mpi& mpi) {
     RegisteredBuffer<double> buf(mpi.registry(), 2,

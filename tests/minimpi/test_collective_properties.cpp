@@ -17,7 +17,6 @@ using namespace std::chrono_literals;
 WorldOptions opts(int n) {
   WorldOptions o;
   o.nranks = n;
-  o.watchdog = 8000ms;
   return o;
 }
 

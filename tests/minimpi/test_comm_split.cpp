@@ -12,7 +12,6 @@ using namespace std::chrono_literals;
 WorldOptions opts(int n) {
   WorldOptions o;
   o.nranks = n;
-  o.watchdog = 5000ms;
   return o;
 }
 

@@ -9,8 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "minimpi/mpi.hpp"
 #include "minimpi/world.hpp"
@@ -19,12 +17,9 @@
 namespace fastfit::mpi {
 namespace {
 
-using namespace std::chrono_literals;
-
 WorldOptions small_world(int n, bool repair = false) {
   WorldOptions o;
   o.nranks = n;
-  o.watchdog = 2000ms;
   o.repair = repair;
   return o;
 }
@@ -48,24 +43,25 @@ TEST(FailStop, DeathPoisonsWorldWithoutRepair) {
 
 TEST(FailStop, KillRankUnblocksBlockedReceive) {
   // The victim parks in a transport wait for a message that never comes;
-  // kill_rank must wake it and raise RankKilled on its own fiber instead
-  // of burning the watchdog. Hang detection is off so the deadlock verdict
-  // cannot win the race by proving the blocked-on-exited-peer deadlock
-  // first.
-  auto options = small_world(2);
-  options.hang_detection = false;
-  World world(options);
-  std::thread killer([&world] {
-    std::this_thread::sleep_for(100ms);
-    world.kill_rank(1);
-  });
-  const auto result = world.run([](Mpi& mpi) {
+  // kill_rank must wake it and raise RankKilled on its own fiber. Rank 0
+  // kills it only after seeing it parked, and then stays alive until the
+  // victim has unwound, so the world never goes quiescent first (that
+  // would be the blocked-on-exited-peer deadlock instead).
+  World world(small_world(2));
+  RankPhase victim_phase = RankPhase::Computing;
+  const auto result = world.run([&world, &victim_phase](Mpi& mpi) {
+    RegisteredBuffer<double> buf(mpi.registry(), 1);
     if (mpi.world_rank() == 1) {
-      RegisteredBuffer<double> buf(mpi.registry(), 1);
-      mpi.recv(buf.data(), 1, kDouble, 0, 7);
+      mpi.send(buf.data(), 1, kDouble, 0, 1);  // "about to park"
+      mpi.recv(buf.data(), 1, kDouble, 0, 7);  // never sent
+      return;
     }
+    mpi.recv(buf.data(), 1, kDouble, 1, 1);
+    victim_phase = world.state()->progress().snapshot(1).phase;
+    world.kill_rank(1);
+    mpi.recv(buf.data(), 1, kDouble, 1, 2);  // aborted by the death
   });
-  killer.join();
+  EXPECT_EQ(victim_phase, RankPhase::Blocked);
   ASSERT_FALSE(result.clean());
   EXPECT_EQ(result.event->type, EventType::RankDead);
   EXPECT_EQ(result.event->rank, 1);

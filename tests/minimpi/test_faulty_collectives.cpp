@@ -14,10 +14,9 @@ namespace {
 
 using namespace std::chrono_literals;
 
-WorldOptions opts(int n, std::chrono::milliseconds watchdog = 3000ms) {
+WorldOptions opts(int n) {
   WorldOptions o;
   o.nranks = n;
-  o.watchdog = watchdog;
   return o;
 }
 
@@ -142,9 +141,9 @@ TEST(FaultyCollectives, RootOutOfRangeIsMpiErr) {
 TEST(FaultyCollectives, DivergentValidRootHangsTheJob) {
   // Rank 3 believes the bcast is rooted at 1; everyone else at 0. In rank
   // 3's tree its parent is rank 1, which (being a leaf of the true tree)
-  // never sends to it: the receive goes unmatched, the watchdog fires —
-  // the paper's INF_LOOP response.
-  World world(opts(4, 200ms));
+  // never sends to it: the receive goes unmatched, the world proves the
+  // deadlock — the paper's INF_LOOP response.
+  World world(opts(4));
   OneShotCorruptor hooks(3, [](CollectiveCall& call) { call.root = 1; });
   world.set_tools(&hooks);
   const auto result = world.run([](Mpi& mpi) {

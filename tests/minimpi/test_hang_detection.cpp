@@ -1,13 +1,12 @@
 // Deterministic hang detection: injected divergences must be classified
-// as deadlocks in milliseconds (no watchdog budget consumed), each with a
-// world autopsy naming the divergence; genuine livelock still falls back
-// to the watchdog; and a clean run audits zero leaks.
+// as deadlocks in milliseconds, each with a world autopsy naming the
+// divergence; genuine livelock ends at the rank's step budget; and a
+// clean run audits zero leaks.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
 #include "minimpi/mpi.hpp"
 #include "minimpi/progress.hpp"
@@ -21,9 +20,6 @@ using namespace std::chrono_literals;
 WorldOptions hang_world(int n) {
   WorldOptions opts;
   opts.nranks = n;
-  // Deliberately generous: a detection that consumed the watchdog would
-  // blow the elapsed-time assertions below.
-  opts.watchdog = 10000ms;
   return opts;
 }
 
@@ -98,7 +94,7 @@ TEST(DeadlockAnalysis, UnmatchedRendezvous) {
             std::string::npos);
 }
 
-// --- end-to-end: injected divergences classified without the watchdog --
+// --- end-to-end: injected divergences proven at quiescence ------------
 
 TEST(HangDetection, CorruptedRootIsDeterministicDeadlock) {
   World world(hang_world(4));
@@ -109,7 +105,7 @@ TEST(HangDetection, CorruptedRootIsDeterministicDeadlock) {
     const std::int32_t root = mpi.world_rank() == 2 ? 1 : 0;
     (void)mpi.bcast_value<std::int32_t>(7, root);
   });
-  EXPECT_LT(elapsed_ms(t0), 5000.0);  // 10s watchdog untouched
+  EXPECT_LT(elapsed_ms(t0), 5000.0);
   ASSERT_FALSE(result.clean());
   EXPECT_EQ(result.event->type, EventType::Timeout);
   ASSERT_TRUE(result.autopsy.has_value());
@@ -181,47 +177,49 @@ TEST(HangDetection, OneRankEarlyExitIsDeterministicDeadlock) {
       << result.event->message;
 }
 
-TEST(HangDetection, GenuineLivelockFallsBackToWatchdog) {
+TEST(HangDetection, GenuineLivelockExhaustsStepBudget) {
   WorldOptions opts = hang_world(2);
-  opts.watchdog = 300ms;
+  opts.step_budget = {50, 50};
+  const auto livelock = [](Mpi& mpi) {
+    // Never enters a rendezvous after the barrier, so the world never
+    // goes quiescent and must not declare a deadlock; only the step
+    // budget can end this.
+    mpi.barrier();
+    for (;;) mpi.check_deadline();
+  };
   World world(opts);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto result = world.run([](Mpi& mpi) {
-    // Never enters a rendezvous, so the world never goes quiescent and
-    // must not declare anything; only check_deadline() can end this.
-    for (;;) {
-      mpi.check_deadline();
-      std::this_thread::sleep_for(1ms);
-    }
-  });
-  EXPECT_GE(elapsed_ms(t0), 250.0);  // the watchdog budget was consumed
+  const auto result = world.run(livelock);
   ASSERT_FALSE(result.clean());
   EXPECT_EQ(result.event->type, EventType::Timeout);
+  EXPECT_NE(result.event->message.find("step budget of 50 exhausted"),
+            std::string::npos)
+      << result.event->message;
   ASSERT_TRUE(result.autopsy.has_value());
   EXPECT_FALSE(result.autopsy->deterministic);
+  // The first rank out of the barrier spins without yielding: it spends
+  // its budget (1 barrier entry + 49 checks) and its 51st step ends the
+  // world.
+  ASSERT_EQ(result.steps.size(), 2u);
+  EXPECT_EQ(result.steps[static_cast<std::size_t>(result.event->rank)], 51u);
+
+  // A logical verdict: the same world again gives the same autopsy.
+  World again(opts);
+  const auto repeat = again.run(livelock);
+  ASSERT_TRUE(repeat.autopsy.has_value());
+  EXPECT_EQ(repeat.autopsy->render(), result.autopsy->render());
+  EXPECT_EQ(repeat.steps, result.steps);
 }
 
-TEST(HangDetection, DisabledDetectionFallsBackToWatchdog) {
-  WorldOptions opts = hang_world(4);
-  opts.watchdog = 300ms;
-  opts.hang_detection = false;
-  World world(opts);
-  const auto t0 = std::chrono::steady_clock::now();
+TEST(HangDetection, SingleRankSelfWaitIsDeterministicDeadlock) {
+  World world(hang_world(1));
   const auto result = world.run([](Mpi& mpi) {
-    if (mpi.world_rank() == 0) return;
-    (void)mpi.allreduce_value<std::int32_t>(1, kSum);
+    RegisteredBuffer<std::int32_t> buf(mpi.registry(), 1);
+    mpi.recv(buf.data(), 1, kInt32, 0, 3);  // from itself, never sent
   });
-  EXPECT_GE(elapsed_ms(t0), 250.0);
   ASSERT_FALSE(result.clean());
   EXPECT_EQ(result.event->type, EventType::Timeout);
   ASSERT_TRUE(result.autopsy.has_value());
-  EXPECT_FALSE(result.autopsy->deterministic);
-  // Satellite: the timeout message carries rank + pending-op signature
-  // even on the watchdog path.
-  EXPECT_NE(result.event->message.find("blocked in"), std::string::npos)
-      << result.event->message;
-  EXPECT_NE(result.event->message.find("MPI_Allreduce"), std::string::npos)
-      << result.event->message;
+  EXPECT_TRUE(result.autopsy->deterministic);
 }
 
 // --- teardown audit -----------------------------------------------------

@@ -12,7 +12,6 @@ using namespace std::chrono_literals;
 WorldOptions opts(int n) {
   WorldOptions o;
   o.nranks = n;
-  o.watchdog = 3000ms;
   return o;
 }
 
@@ -76,7 +75,6 @@ TEST(Nonblocking, IrecvValidatesAtPostTime) {
 
 TEST(Nonblocking, WaitOnStarvedReceiveTimesOut) {
   WorldOptions o = opts(2);
-  o.watchdog = 100ms;
   World world(o);
   const auto result = world.run([](Mpi& mpi) {
     RegisteredBuffer<double> buf(mpi.registry(), 1);

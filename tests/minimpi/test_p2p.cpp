@@ -10,10 +10,9 @@ namespace {
 
 using namespace std::chrono_literals;
 
-WorldOptions opts(int n, std::chrono::milliseconds watchdog = 3000ms) {
+WorldOptions opts(int n) {
   WorldOptions o;
   o.nranks = n;
-  o.watchdog = watchdog;
   return o;
 }
 
@@ -157,7 +156,7 @@ TEST(P2p, RingPassAroundAllRanks) {
 }
 
 TEST(P2p, MissingSenderTimesOut) {
-  World world(opts(2, 100ms));
+  World world(opts(2));
   const auto result = world.run([](Mpi& mpi) {
     RegisteredBuffer<double> buf(mpi.registry(), 1);
     if (mpi.rank() == 1) mpi.recv(buf.data(), 1, kDouble, 0, 9);

@@ -23,7 +23,6 @@ TEST(Stress, TwoHundredSequentialWorlds) {
   for (int round = 0; round < 200; ++round) {
     WorldOptions o;
     o.nranks = 4;
-    o.watchdog = 2000ms;
     o.seed = static_cast<std::uint64_t>(round);
     World world(o);
     const auto result = world.run([round](Mpi& mpi) {
@@ -37,7 +36,6 @@ TEST(Stress, TwoHundredSequentialWorlds) {
 TEST(Stress, SixtyFourRankCollectives) {
   WorldOptions o;
   o.nranks = 64;
-  o.watchdog = 20000ms;
   World world(o);
   EXPECT_TRUE(world.run([](Mpi& mpi) {
     const int n = mpi.size();
@@ -60,7 +58,6 @@ TEST(Stress, FailuresInConsecutiveWorldsStayContained) {
   for (int round = 0; round < 50; ++round) {
     WorldOptions o;
     o.nranks = 4;
-    o.watchdog = 500ms;
     World world(o);
     const bool fail_this_round = (round % 2 == 0);
     const auto result = world.run([fail_this_round](Mpi& mpi) {
@@ -78,7 +75,6 @@ TEST(Stress, DeepCollectiveSequences) {
   // collide or wrap into confusion.
   WorldOptions o;
   o.nranks = 4;
-  o.watchdog = 20000ms;
   World world(o);
   EXPECT_TRUE(world.run([](Mpi& mpi) {
     for (std::int32_t i = 0; i < 500; ++i) {
@@ -92,10 +88,9 @@ TEST(Stress, TwoFiftySixRankDivergenceAndDeadlockMatrix) {
   // Campaign-scale smoke on the fiber substrate (the default engine):
   // 256 ranks per world, one world per classic divergence shape. The
   // deadlock cells must resolve deterministically — "no runnable rank
-  // and no queued message" — without consuming the watchdog budget.
+  // and no queued message".
   WorldOptions o;
   o.nranks = 256;
-  o.watchdog = 60000ms;
 
   {  // clean: the control cell.
     World world(o);
@@ -174,7 +169,6 @@ TEST(Stress, FiberPoolHoldsOsThreadCountAtLaneWidth) {
   auto lane = [&peak, &failures] {
     WorldOptions o;
     o.nranks = 256;
-    o.watchdog = 60000ms;
     World world(o);
     const auto result = world.run([&peak, &failures](Mpi& mpi) {
       if (mpi.world_rank() == 0) {

@@ -15,7 +15,6 @@ using namespace std::chrono_literals;
 WorldOptions opts(int n) {
   WorldOptions o;
   o.nranks = n;
-  o.watchdog = 2000ms;
   return o;
 }
 

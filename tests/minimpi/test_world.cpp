@@ -18,7 +18,6 @@ using namespace std::chrono_literals;
 WorldOptions small_world(int n) {
   WorldOptions opts;
   opts.nranks = n;
-  opts.watchdog = 2000ms;
   return opts;
 }
 
@@ -46,6 +45,9 @@ TEST(World, RanksAndSizes) {
 TEST(World, RejectsInvalidRankCount) {
   WorldOptions opts;
   opts.nranks = 0;
+  EXPECT_THROW(World w(opts), ConfigError);
+  opts.nranks = 2;
+  opts.step_budget = {10};  // one budget per rank
   EXPECT_THROW(World w(opts), ConfigError);
 }
 
@@ -94,9 +96,7 @@ TEST(World, SegFaultCaptured) {
 TEST(World, PoisonUnblocksPeersWaitingOnCollective) {
   // Rank 0 dies before the barrier; everyone else is released promptly
   // with the initiating event (not a timeout) reported.
-  WorldOptions opts = small_world(4);
-  opts.watchdog = 10000ms;  // a hang here would stall the test visibly
-  World world(opts);
+  World world(small_world(4));
   const auto start = std::chrono::steady_clock::now();
   const auto result = world.run([&](Mpi& mpi) {
     if (mpi.world_rank() == 0) throw AppError("early death");
@@ -108,14 +108,16 @@ TEST(World, PoisonUnblocksPeersWaitingOnCollective) {
 }
 
 TEST(World, TimeoutCapturedAsInfLoop) {
-  WorldOptions opts = small_world(2);
-  opts.watchdog = 50ms;
-  World world(opts);
+  World world(small_world(2));
   const auto result = world.run([&](Mpi& mpi) {
     if (mpi.world_rank() == 0) mpi.barrier();  // rank 1 never joins
   });
   ASSERT_FALSE(result.clean());
   EXPECT_EQ(result.event->type, EventType::Timeout);
+  // Proven at quiescence: rank 0 awaits a peer that already exited.
+  ASSERT_TRUE(result.autopsy.has_value());
+  EXPECT_TRUE(result.autopsy->deterministic);
+  EXPECT_EQ(result.event->rank, 0);
 }
 
 TEST(World, FirstEventWins) {
@@ -139,16 +141,22 @@ TEST(World, InternalErrorPropagatesToCaller) {
                InternalError);
 }
 
-TEST(World, CheckDeadlineThrowsPastWatchdog) {
+TEST(World, CheckDeadlineThrowsPastStepBudget) {
   WorldOptions opts = small_world(1);
-  opts.watchdog = 1ms;
+  opts.step_budget = {3};
   World world(opts);
+  int checks = 0;
   const auto result = world.run([&](Mpi& mpi) {
+    // Wall time is not a step: a slow rank within its budget is fine.
     std::this_thread::sleep_for(20ms);
-    mpi.check_deadline();
+    for (;;) {
+      mpi.check_deadline();
+      ++checks;
+    }
   });
   ASSERT_FALSE(result.clean());
   EXPECT_EQ(result.event->type, EventType::Timeout);
+  EXPECT_EQ(checks, 3);  // the 4th check is past the budget
 }
 
 TEST(World, CommWorldGroupIsEveryone) {
@@ -237,10 +245,7 @@ TEST(World, ForeignThreadWakesAndDeliveriesRaceRunAndTeardown) {
   // kill came too late) or with the killed rank's death. Run under TSan in
   // CI.
   for (int i = 0; i < 200; ++i) {
-    WorldOptions opts = small_world(4);
-    opts.watchdog = 10000ms;
-    opts.hang_detection = i % 2 == 0;
-    World world(opts);
+    World world(small_world(4));
     std::atomic<bool> finished{false};
     const auto start = std::chrono::steady_clock::now();
     std::thread poker([&world, &finished, i] {

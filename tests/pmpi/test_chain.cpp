@@ -44,7 +44,6 @@ TEST(HookChain, EnterInOrderExitReversed) {
 
   mpi::WorldOptions opts;
   opts.nranks = 1;
-  opts.watchdog = 2000ms;
   mpi::World world(opts);
   world.set_tools(&chain);
   world.run([](mpi::Mpi& mpi) { mpi.barrier(); });
@@ -60,7 +59,6 @@ TEST(HookChain, EmptyChainIsTransparent) {
   HookChain chain;
   mpi::WorldOptions opts;
   opts.nranks = 2;
-  opts.watchdog = 2000ms;
   mpi::World world(opts);
   world.set_tools(&chain);
   EXPECT_TRUE(world.run([](mpi::Mpi& mpi) {
@@ -100,7 +98,6 @@ TEST(HookChain, EarlierToolsSeePristineCallLaterToolsSeeMutations) {
 
   mpi::WorldOptions opts;
   opts.nranks = 1;
-  opts.watchdog = 2000ms;
   mpi::World world(opts);
   world.set_tools(&chain);
   world.run([](mpi::Mpi& mpi) {

@@ -18,7 +18,6 @@ using namespace std::chrono_literals;
 mpi::WorldOptions opts(int n) {
   mpi::WorldOptions o;
   o.nranks = n;
-  o.watchdog = 5000ms;
   return o;
 }
 

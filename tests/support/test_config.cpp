@@ -102,7 +102,6 @@ TEST(Config, ResilienceKnobDefaults) {
   const auto cfg = InjectionConfig::from_map({});
   EXPECT_TRUE(cfg.journal.empty());       // no journal unless asked for
   EXPECT_EQ(cfg.max_trial_retries, 2u);
-  EXPECT_EQ(cfg.watchdog_escalation, 4u);
 }
 
 TEST(Config, ParsesJournalPath) {
@@ -128,75 +127,40 @@ TEST(Config, ParsesAndValidatesMaxTrialRetries) {
       ConfigError);
 }
 
-TEST(Config, ParsesAndValidatesWatchdogEscalation) {
-  const auto cfg =
-      InjectionConfig::from_map({{"FASTFIT_WATCHDOG_ESCALATION", "8"}});
-  EXPECT_EQ(cfg.watchdog_escalation, 8u);
-  // x1 (no escalation) is allowed; x0 would disable the watchdog entirely.
-  EXPECT_EQ(InjectionConfig::from_map({{"FASTFIT_WATCHDOG_ESCALATION", "1"}})
-                .watchdog_escalation,
-            1u);
-  EXPECT_THROW(
-      InjectionConfig::from_map({{"FASTFIT_WATCHDOG_ESCALATION", "0"}}),
-      ConfigError);
-  EXPECT_THROW(
-      InjectionConfig::from_map({{"FASTFIT_WATCHDOG_ESCALATION", "65"}}),
-      ConfigError);
-}
-
 TEST(Config, ResilienceKnobsRoundTripThroughMap) {
   auto cfg = InjectionConfig::from_map({{"FASTFIT_JOURNAL", "j.jsonl"},
-                                        {"FASTFIT_MAX_TRIAL_RETRIES", "5"},
-                                        {"FASTFIT_WATCHDOG_ESCALATION", "2"}});
+                                        {"FASTFIT_MAX_TRIAL_RETRIES", "5"}});
   const auto cfg2 = InjectionConfig::from_map(cfg.to_map());
   EXPECT_EQ(cfg2.journal, "j.jsonl");
   EXPECT_EQ(cfg2.max_trial_retries, 5u);
-  EXPECT_EQ(cfg2.watchdog_escalation, 2u);
   // Defaults are not emitted, matching the FASTFIT_PARALLEL_TRIALS pattern.
   const auto defaults = InjectionConfig{}.to_map();
   EXPECT_EQ(defaults.count("FASTFIT_JOURNAL"), 0u);
   EXPECT_EQ(defaults.count("FASTFIT_MAX_TRIAL_RETRIES"), 0u);
-  EXPECT_EQ(defaults.count("FASTFIT_WATCHDOG_ESCALATION"), 0u);
 }
 
 TEST(Config, ResilienceKnobsReadFromEnvironment) {
   ::setenv("FASTFIT_JOURNAL", "/tmp/env.jsonl", 1);
   ::setenv("FASTFIT_MAX_TRIAL_RETRIES", "7", 1);
-  ::setenv("FASTFIT_WATCHDOG_ESCALATION", "3", 1);
   const auto cfg = InjectionConfig::from_environment();
   EXPECT_EQ(cfg.journal, "/tmp/env.jsonl");
   EXPECT_EQ(cfg.max_trial_retries, 7u);
-  EXPECT_EQ(cfg.watchdog_escalation, 3u);
   ::unsetenv("FASTFIT_JOURNAL");
   ::unsetenv("FASTFIT_MAX_TRIAL_RETRIES");
-  ::unsetenv("FASTFIT_WATCHDOG_ESCALATION");
 }
 
-TEST(Config, HangDetectionKnobDefaultsOnAndParses) {
-  EXPECT_TRUE(InjectionConfig::from_map({}).hang_detection);
-  EXPECT_FALSE(InjectionConfig::from_map({{"FASTFIT_HANG_DETECTION", "0"}})
-                   .hang_detection);
-  EXPECT_TRUE(InjectionConfig::from_map({{"FASTFIT_HANG_DETECTION", "1"}})
-                  .hang_detection);
-  EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_HANG_DETECTION", "2"}}),
+TEST(Config, RemovedHangKnobsAreRejected) {
+  // Hang verdicts count logical steps, so the wall-clock watchdog's knobs
+  // are gone: a stale setting fails loudly instead of being ignored.
+  EXPECT_THROW(
+      InjectionConfig::from_map({{"FASTFIT_WATCHDOG_ESCALATION", "4"}}),
+      ConfigError);
+  EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_HANG_DETECTION", "0"}}),
                ConfigError);
-  EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_HANG_DETECTION", "on"}}),
-               ConfigError);
-}
-
-TEST(Config, TeardownKnobsRoundTripThroughMap) {
-  auto cfg = InjectionConfig::from_map({{"FASTFIT_HANG_DETECTION", "0"}});
-  const auto cfg2 = InjectionConfig::from_map(cfg.to_map());
-  EXPECT_FALSE(cfg2.hang_detection);
-  const auto defaults = InjectionConfig{}.to_map();
-  EXPECT_EQ(defaults.count("FASTFIT_HANG_DETECTION"), 0u);
-}
-
-TEST(Config, TeardownKnobsReadFromEnvironment) {
-  ::setenv("FASTFIT_HANG_DETECTION", "0", 1);
-  const auto cfg = InjectionConfig::from_environment();
-  EXPECT_FALSE(cfg.hang_detection);
-  ::unsetenv("FASTFIT_HANG_DETECTION");
+  for (const auto& knob : config_knobs()) {
+    EXPECT_STRNE(knob.env, "FASTFIT_WATCHDOG_ESCALATION");
+    EXPECT_STRNE(knob.env, "FASTFIT_HANG_DETECTION");
+  }
 }
 
 TEST(Config, TelemetryKnobDefaultsAreOff) {
@@ -298,8 +262,6 @@ TEST(Config, KnobTableIsCompleteAndConsistent) {
       {"FASTFIT_PARALLEL_TRIALS", "1"},
       {"FASTFIT_JOURNAL", "j.jsonl"},
       {"FASTFIT_MAX_TRIAL_RETRIES", "1"},
-      {"FASTFIT_WATCHDOG_ESCALATION", "1"},
-      {"FASTFIT_HANG_DETECTION", "1"},
       {"FASTFIT_SHARD", "1/2"},
       {"FASTFIT_PASSES", "semantic,context"},
       {"FASTFIT_TRACE", "t.json"},

@@ -93,7 +93,7 @@ TEST_F(CampaignTelemetryTest, ExecutorSpansNestPerLaneAndRankBuffersFlush) {
     lanes[{tel::trace_pid(event), tel::trace_tid(event.track, event.index)}]
         .push_back(&event);
   }
-  // 3 points x 2 trials, plus possible watchdog confirmations.
+  // 3 points x 2 trials, plus possible guard retries.
   EXPECT_GE(trial_spans, 6);
   EXPECT_GE(world_runs, 6);
   EXPECT_EQ(classifies, world_runs);  // every injected run classifies

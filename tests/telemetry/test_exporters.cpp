@@ -119,8 +119,8 @@ TEST_F(ExportersTest, ChromeTraceIsWellFormedAndCoversAllTracks) {
   events.push_back(make_span("rank-main", 12, 40, Track::Rank, 2));
   events.push_back(make_span("journal-fsync", 70, 5, Track::Journal, 0));
   events.push_back(make_span("ml-round", 80, 100, Track::MlLoop, 0));
-  events.push_back(
-      make_span("watchdog-fire", 95, -1, Track::Monitor, 0));  // instant
+  events.push_back(make_span("step-budget-exhausted", 95, -1, Track::Monitor,
+                             0));  // instant
 
   std::vector<ThreadInfo> threads;
   threads.push_back({Track::Main, -1, "campaign-main"});

@@ -23,7 +23,7 @@ MetricsSnapshot synthetic_snapshot() {
   snap.counters.push_back(
       {"fastfit_trials_total", "h", "outcome=\"SEG_FAULT\"", 10});
   snap.counters.push_back({"fastfit_trial_retries_total", "h", "", 2});
-  snap.counters.push_back({"fastfit_watchdog_fires_total", "h", "", 3});
+  snap.counters.push_back({"fastfit_step_budgets_exhausted_total", "h", "", 3});
   return snap;
 }
 
@@ -39,7 +39,7 @@ TEST(ProgressMeterRender, WithExpectedTotalShowsPercentAndEta) {
   EXPECT_NE(line.find("SUCCESS=30"), std::string::npos) << line;
   EXPECT_NE(line.find("SEG_FAULT=10"), std::string::npos) << line;
   EXPECT_NE(line.find("retries=2"), std::string::npos) << line;
-  EXPECT_NE(line.find("watchdog=3"), std::string::npos) << line;
+  EXPECT_NE(line.find("step-budget=3"), std::string::npos) << line;
   EXPECT_EQ(line.find("dropped="), std::string::npos) << line;
 }
 

@@ -146,10 +146,10 @@ TEST_F(RecorderTest, SpanConstructedWhileDisabledStaysInert) {
 
 TEST_F(RecorderTest, InstantEventsCarryTrackAndArgs) {
   auto& rec = Recorder::instance();
-  rec.instant("watchdog-fire", Track::Monitor, 0, "rank=2");
+  rec.instant("step-budget-exhausted", Track::Monitor, 0, "rank=2");
   const auto events = rec.drain_events();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].name, "watchdog-fire");
+  EXPECT_STREQ(events[0].name, "step-budget-exhausted");
   EXPECT_LT(events[0].dur_us, 0);  // instant marker
   EXPECT_EQ(events[0].track, Track::Monitor);
   EXPECT_EQ(events[0].args, "rank=2");
