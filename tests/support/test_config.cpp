@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -149,18 +150,69 @@ TEST(Config, ResilienceKnobsReadFromEnvironment) {
   ::unsetenv("FASTFIT_MAX_TRIAL_RETRIES");
 }
 
-TEST(Config, RemovedHangKnobsAreRejected) {
-  // Hang verdicts count logical steps, so the wall-clock watchdog's knobs
-  // are gone: a stale setting fails loudly instead of being ignored.
-  EXPECT_THROW(
-      InjectionConfig::from_map({{"FASTFIT_WATCHDOG_ESCALATION", "4"}}),
-      ConfigError);
-  EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_HANG_DETECTION", "0"}}),
-               ConfigError);
+// Hang verdicts count logical steps, so the wall-clock watchdog's knobs are
+// gone: deadlock detection is always on and there is no escalation to tune.
+// The four tests below keep the names of the knobs' old tests and check that
+// a stale setting fails loudly instead of being silently ignored.
+
+TEST(Config, HangDetectionKnobDefaultsOnAndParses) {
+  for (const char* value : {"0", "1", "2", "on"}) {
+    try {
+      InjectionConfig::from_map({{"FASTFIT_HANG_DETECTION", value}});
+      ADD_FAILURE() << "FASTFIT_HANG_DETECTION=" << value << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("FASTFIT_HANG_DETECTION"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const auto& knob : config_knobs()) {
+    EXPECT_STRNE(knob.env, "FASTFIT_HANG_DETECTION");
+    EXPECT_STRNE(knob.flag, "hang-detection");
+  }
+}
+
+TEST(Config, ParsesAndValidatesWatchdogEscalation) {
+  for (const char* value : {"8", "1", "0", "65"}) {
+    try {
+      InjectionConfig::from_map({{"FASTFIT_WATCHDOG_ESCALATION", value}});
+      ADD_FAILURE() << "FASTFIT_WATCHDOG_ESCALATION=" << value
+                    << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("FASTFIT_WATCHDOG_ESCALATION"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   for (const auto& knob : config_knobs()) {
     EXPECT_STRNE(knob.env, "FASTFIT_WATCHDOG_ESCALATION");
-    EXPECT_STRNE(knob.env, "FASTFIT_HANG_DETECTION");
+    EXPECT_STRNE(knob.flag, "watchdog-escalation");
   }
+}
+
+TEST(Config, TeardownKnobsRoundTripThroughMap) {
+  // to_map() emits neither removed key, so a map written by this build
+  // always parses again.
+  const auto cfg = InjectionConfig::from_map(
+      {{"FASTFIT_MAX_TRIAL_RETRIES", "5"}, {"FASTFIT_REPAIR", "1"}});
+  const auto kv = cfg.to_map();
+  EXPECT_EQ(kv.count("FASTFIT_HANG_DETECTION"), 0u);
+  EXPECT_EQ(kv.count("FASTFIT_WATCHDOG_ESCALATION"), 0u);
+  EXPECT_EQ(InjectionConfig::from_map(kv).to_map(), kv);
+  const auto defaults = InjectionConfig{}.to_map();
+  EXPECT_EQ(defaults.count("FASTFIT_HANG_DETECTION"), 0u);
+  EXPECT_EQ(defaults.count("FASTFIT_WATCHDOG_ESCALATION"), 0u);
+}
+
+TEST(Config, TeardownKnobsReadFromEnvironment) {
+  // from_environment() reads only the knob table, so the removed variables
+  // left in a shell's environment change nothing.
+  ::setenv("FASTFIT_HANG_DETECTION", "0", 1);
+  ::setenv("FASTFIT_WATCHDOG_ESCALATION", "0", 1);
+  const auto cfg = InjectionConfig::from_environment();
+  ::unsetenv("FASTFIT_HANG_DETECTION");
+  ::unsetenv("FASTFIT_WATCHDOG_ESCALATION");
+  EXPECT_EQ(cfg.to_map(), InjectionConfig::from_environment().to_map());
 }
 
 TEST(Config, TelemetryKnobDefaultsAreOff) {
