@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "core/pipeline.hpp"
-#include "core/recording_io.hpp"
 #include "core/trial_executor.hpp"
 #include "inject/injector.hpp"
 #include "support/error.hpp"
@@ -115,66 +114,17 @@ Campaign::Campaign(const apps::Workload& workload, CampaignOptions options)
     snapshot_cache_ = std::make_unique<SnapshotCache>(
         static_cast<std::size_t>(options_.snapshot_cache_mb) * 1024 * 1024);
   }
-  recording_file_ = options_.recording_path;
-}
-
-std::string Campaign::golden_key() const {
-  return workload_->name() + '|' + workload_->params_key() + '|' +
-         std::to_string(options_.nranks) + '|' +
-         std::to_string(options_.seed) + '|' +
-         algorithms_id(options_.algorithms);
-}
-
-GoldenCache::Value Campaign::run_golden() {
-  // Golden memo: one verified fault-free run per (workload, params,
-  // nranks, seed, algorithms) per process.
-  const std::string key = golden_key();
-  if (const auto cached = GoldenCache::instance().find(key)) {
-    tel::ScopedSpan span("golden-run");
-    span.arg("cached", "1");
-    return *cached;
-  }
-  mpi::WorldOptions opts;
-  opts.nranks = options_.nranks;
-  opts.seed = options_.seed;
-  opts.algorithms = options_.algorithms;
-  trace::ContextRegistry contexts(options_.nranks, /*record_call_graph=*/false);
-  tel::ScopedSpan span("golden-run");
-  const auto golden = apps::run_job(*workload_, opts, nullptr, contexts);
-  span.finish();
-  if (!golden.world.clean()) {
-    throw InternalError("Campaign: golden run failed: " +
-                        golden.world.event->message);
-  }
-  // Uninjected runs get the strict leak audit: with no fault to explain
-  // them, a still-registered region or a queued message is a harness bug,
-  // full stop.
-  if (golden.world.leaked_regions > 0 ||
-      golden.world.undelivered_messages > 0) {
-    throw InternalError(
-        "Campaign: golden run leaked (" +
-        std::to_string(golden.world.leaked_regions) + " region(s), " +
-        std::to_string(golden.world.undelivered_messages) +
-        " undelivered message(s))");
-  }
-  const GoldenCache::Value value{golden.digest, golden.world.steps};
-  GoldenCache::instance().put(key, value);
-  return value;
 }
 
 void Campaign::profile() {
   if (profiled_) throw InternalError("Campaign::profile: already profiled");
 
-  // Golden (fault-free, un-instrumented) run: digest + per-rank steps.
-  const auto golden = run_golden();
-  golden_digest_ = golden.digest;
-  step_budget_.clear();
-  for (const std::uint64_t steps : golden.steps) {
-    step_budget_.push_back(steps * kStepBudgetMultiplier);
-  }
-
-  // Profiling run (paper Fig 5 phase 1): same problem as the injection
-  // runs, so the features transfer.
+  // Profiling run (paper Fig 5 phase 1): the campaign's one fault-free
+  // execution. Same problem as the injection runs, so the features
+  // transfer; it also yields the golden digest and the per-rank step
+  // counts behind the trial step budgets. The profiler only observes, so
+  // the run matches an uninstrumented one (the recording run's digest
+  // check re-proves it whenever snapshots engage).
   contexts_ = std::make_unique<trace::ContextRegistry>(options_.nranks);
   profiler_ = std::make_unique<profile::Profiler>(*contexts_);
   mpi::WorldOptions profile_opts;
@@ -190,17 +140,16 @@ void Campaign::profile() {
   profiling_span.finish();
   // The worker lease only backstops a wedged or compute-spinning worker
   // process, so it is generous: 48 fault-free wall times plus 10 s, and
-  // never under a minute. The fault-free wall time is the profiling run's,
-  // which is never memoized; a clock read here decides no outcome.
+  // never under a minute. A clock read here decides no outcome.
   worker_lease_ = options_.worker_lease.value_or(
       std::max<std::chrono::milliseconds>(60'000ms, wall * 48 + 10'000ms));
   if (!profiled.world.clean()) {
     throw InternalError("Campaign: profiling run failed: " +
                         profiled.world.event->message);
   }
-  if (profiled.digest != golden_digest_) {
-    throw InternalError("Campaign: profiling run digest diverged");
-  }
+  // Uninjected runs get the strict leak audit: with no fault to explain
+  // them, a still-registered region or a queued message is a harness bug,
+  // full stop.
   if (profiled.world.leaked_regions > 0 ||
       profiled.world.undelivered_messages > 0) {
     throw InternalError(
@@ -208,6 +157,11 @@ void Campaign::profile() {
         std::to_string(profiled.world.leaked_regions) + " region(s), " +
         std::to_string(profiled.world.undelivered_messages) +
         " undelivered message(s))");
+  }
+  golden_digest_ = profiled.digest;
+  step_budget_.clear();
+  for (const std::uint64_t steps : profiled.world.steps) {
+    step_budget_.push_back(steps * kStepBudgetMultiplier);
   }
 
   {
@@ -267,11 +221,6 @@ void Campaign::attach_journal(const std::string& path, JournalMode mode) {
   header.shard_count = options_.shard.count;
   journal_ = mode == JournalMode::Resume ? TrialJournal::resume(path, header)
                                          : TrialJournal::create(path, header);
-  // The recording is as durable as the journal: default it to live next
-  // door, so a resumed campaign replays the prefix without re-recording.
-  if (recording_file_.empty()) {
-    recording_file_ = path + ".recording";
-  }
 }
 
 void Campaign::detach_journal() {
@@ -309,22 +258,6 @@ CampaignHealth Campaign::health() const noexcept {
 
 std::shared_ptr<const mpi::WorldRecording> Campaign::build_recording() {
   tel::ScopedSpan span("snapshot-build");
-  // Durable fast path: a recording persisted by an earlier run (or a
-  // sibling shard worker) with our exact identity and golden digest IS
-  // the golden execution — loading it is as sound as re-recording.
-  if (!recording_file_.empty()) {
-    if (auto loaded =
-            load_recording(recording_file_, golden_key(), golden_digest_)) {
-      span.arg("loaded", "1");
-      if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
-        static auto& loads = rec.counter(
-            "fastfit_snapshot_recording_loads_total",
-            "Prefix-replay recordings reloaded from disk instead of re-run");
-        loads.add();
-      }
-      return loaded;
-    }
-  }
   try {
     auto recorder = std::make_shared<mpi::PrefixRecorder>(options_.nranks);
     mpi::WorldOptions opts;
@@ -342,16 +275,13 @@ std::shared_ptr<const mpi::WorldRecording> Campaign::build_recording() {
     if (job.digest != golden_digest_) {
       // The recording must be *the* golden execution, byte for byte —
       // replaying anything else would corrupt every trial built on it.
+      // Matching the instrumented profiling run's digest also proves that
+      // instrumentation does not change the execution.
       return nullptr;
     }
     auto recording = recorder->finish();
     span.arg("ops", std::to_string(recording->total_ops));
     span.arg("payload_bytes", std::to_string(recording->payload_bytes));
-    if (!recording_file_.empty()) {
-      // Best-effort: a failed write costs nothing but the reuse.
-      (void)save_recording(recording_file_, *recording, golden_key(),
-                           golden_digest_);
-    }
     if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
       static auto& builds = rec.counter(
           "fastfit_snapshot_recordings_total",
@@ -454,7 +384,7 @@ inject::TrialForensics Campaign::execute_trial(
   // Undelivered transport messages are deliberately NOT audited here: an
   // injected run can legitimately succeed with strays queued (a corrupted
   // root re-routes sends nobody awaits while the digest never sees the
-  // difference). The uninjected golden/profiling runs assert zero.
+  // difference). The uninjected profiling run asserts zero.
   tel::ScopedSpan classify_span("classify");
   return inject::classify_with_forensics(job.world, job.digest,
                                          golden_digest_);

@@ -1,7 +1,7 @@
 #pragma once
 
-// Campaign execution: golden run, per-trial fault injection, and the
-// per-point statistics the evaluation section reports.
+// Campaign execution: the fault-free profiling run, per-trial fault
+// injection, and the per-point statistics the evaluation section reports.
 //
 // The campaign engine is crash-resilient in two coordinated layers:
 //  (1) a durable trial journal (core/journal.hpp) that measure() /
@@ -11,7 +11,7 @@
 //      instead of tearing down the campaign.
 // Hang verdicts need no resilience layer: a deadlock is proven at world
 // quiescence and a livelock ends at a per-rank step budget derived from
-// the golden run, so neither depends on host load.
+// the fault-free profiling run, so neither depends on host load.
 
 #include <array>
 #include <atomic>
@@ -100,14 +100,6 @@ struct CampaignOptions {
   /// FASTFIT_SNAPSHOT_CACHE_MB): bounds the recording payload plus all
   /// derived per-cut snapshots. Must be >= 1.
   std::uint64_t snapshot_cache_mb = 256;
-  /// Durable home for the prefix-replay recording (--snapshot-recording,
-  /// FASTFIT_SNAPSHOT_RECORDING). When set, build_recording() reloads a
-  /// matching recording from this file instead of re-running the
-  /// fault-free world, and persists a freshly built one for the next
-  /// process — the resume path and every `--shard i/N` worker of one
-  /// study can share a single file. Empty = derive `<journal>.recording`
-  /// once a journal is attached; no journal and no path = in-memory only.
-  std::string recording_path;
   /// Trial execution backend (--isolation, FASTFIT_ISOLATION). `Thread`
   /// (default) runs trials in-process on the executor's lane threads.
   /// `Process` dispatches each trial to a fresh child of a per-lane
@@ -165,14 +157,16 @@ enum class JournalMode {
 /// pruning passes); the ordering/batching machinery lives below
 /// (TrialScheduler). Campaign is the *engine*: it implements TrialRunner
 /// (privately — only its own measure calls may schedule on it) and
-/// contributes the world execution, golden calibration, and trial guard.
+/// contributes the world execution, step-budget calibration, and trial
+/// guard.
 class Campaign : private TrialRunner {
  public:
   Campaign(const apps::Workload& workload, CampaignOptions options);
 
-  /// Phase 1 (paper Fig 5): golden run (digest and per-rank step counts,
-  /// hence the trial step budgets) + profiling run + point enumeration.
-  /// Must be called before trials.
+  /// Phase 1 (paper Fig 5): one fault-free profiling run, which also
+  /// yields the golden digest, the per-rank step counts behind the trial
+  /// step budgets and the worker lease, then point enumeration. Must be
+  /// called before trials.
   void profile();
 
   const Enumeration& enumeration() const;
@@ -247,10 +241,11 @@ class Campaign : private TrialRunner {
   std::uint64_t golden_digest() const;
 
   /// Per-rank step budget of every injected world (WorldOptions::
-  /// step_budget): kStepBudgetMultiplier × the rank's golden step count.
+  /// step_budget): kStepBudgetMultiplier × the rank's step count in the
+  /// profiling run.
   const std::vector<std::uint64_t>& step_budget() const;
 
-  /// How many times its golden step count an injected rank may step
+  /// How many times its fault-free step count an injected rank may step
   /// before it is declared livelocked (INF_LOOP). Far above what finishing
   /// trials take (CG's largest legal iteration count is 32x its default),
   /// and below the 48 fault-free wall times of the worker lease, so a
@@ -275,9 +270,6 @@ class Campaign : private TrialRunner {
   std::unique_ptr<TrialJournal> journal_;
   /// Present unless snapshots == Off; owns the recording + cut LRU.
   std::unique_ptr<SnapshotCache> snapshot_cache_;
-  /// Effective recording file: options_.recording_path, or derived from
-  /// the journal path by attach_journal. Empty = no persistence.
-  std::string recording_file_;
   std::atomic<std::uint64_t> trials_run_{0};
   std::atomic<std::uint64_t> total_retries_{0};
   std::atomic<std::uint64_t> quarantined_points_{0};
@@ -297,7 +289,8 @@ class Campaign : private TrialRunner {
   /// memory regions registered is a harness bug and throws InternalError
   /// so the guard retries it. Stray undelivered messages are a legitimate
   /// fault consequence (e.g. a corrupted root re-routes sends nobody
-  /// awaits), so only the uninjected golden/profiling runs assert on them.
+  /// awaits), so only the uninjected profiling and recording runs assert on
+  /// them.
   inject::TrialForensics run_trial(
       const InjectionPoint& point, std::uint64_t trial,
       const std::vector<std::uint64_t>& step_budget);
@@ -311,14 +304,10 @@ class Campaign : private TrialRunner {
       const std::vector<std::uint64_t>& step_budget,
       std::shared_ptr<const mpi::WorldSnapshot> snapshot);
 
-  /// One fault-free recording run (digest-checked against golden).
-  /// Returns nullptr on any failure — the snapshot subsystem disables
-  /// itself instead of costing the trial.
+  /// One fault-free, uninstrumented recording run, digest-checked against
+  /// the profiling run. Returns nullptr on any failure — the snapshot
+  /// subsystem disables itself instead of costing the trial.
   std::shared_ptr<const mpi::WorldRecording> build_recording();
-
-  /// Key of this campaign's configuration in the process-wide golden
-  /// cache.
-  std::string golden_key() const;
 
   /// Routes one trial to the right backend: the live worker pool under
   /// process isolation (worker death → SEG_FAULT forensics, lease
@@ -339,9 +328,6 @@ class Campaign : private TrialRunner {
   /// max_trial_retries before reporting !ok (quarantine).
   Attempt run_guarded(const InjectionPoint& point,
                       std::uint64_t trial) override;
-
-  /// Fault-free run (memoized in GoldenCache): digest and per-rank steps.
-  GoldenCache::Value run_golden();
 
   /// Shared implementation of measure / measure_many at a given pool size.
   std::vector<PointResult> measure_impl(

@@ -179,26 +179,4 @@ GoldenCache& GoldenCache::instance() {
   return cache;
 }
 
-std::optional<GoldenCache::Value> GoldenCache::find(
-    const std::string& key) const {
-  std::lock_guard lock(mutex_);
-  if (auto it = entries_.find(key); it != entries_.end()) return it->second;
-  return std::nullopt;
-}
-
-void GoldenCache::put(const std::string& key, const Value& value) {
-  std::lock_guard lock(mutex_);
-  entries_[key] = value;
-}
-
-std::size_t GoldenCache::size() const {
-  std::lock_guard lock(mutex_);
-  return entries_.size();
-}
-
-void GoldenCache::clear() {
-  std::lock_guard lock(mutex_);
-  entries_.clear();
-}
-
 }  // namespace fastfit::core

@@ -13,11 +13,6 @@
 //    semantic-equivalence class behind it — and bounds memory with an
 //    LRU over the per-cut snapshots plus the recording itself
 //    (--snapshot-cache-mb).
-//
-//  * GoldenCache — process-wide memo of (workload, params, nranks, seed,
-//    algorithms) -> (golden digest, per-rank step counts), so a study
-//    that builds many campaigns over the same configuration pays for the
-//    fault-free run once.
 
 #include <cstddef>
 #include <cstdint>
@@ -26,11 +21,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "minimpi/snapshot.hpp"
 
@@ -118,27 +111,13 @@ class SnapshotCache {
   Stats stats_;
 };
 
-/// Process-wide golden-run memo. Keys are opaque strings composed by the
-/// campaign (workload name, params, nranks, seed, algorithms); values are
-/// the verified digest and per-rank step counts of one successful
-/// fault-free run. Both are pure functions of the key.
+/// Empty: each campaign's profiling run is its one fault-free run, and
+/// nothing is memoized across campaigns. Kept, with a no-op clear(),
+/// because perfbench/refstudy.cpp still calls clear().
 class GoldenCache {
  public:
-  struct Value {
-    std::uint64_t digest = 0;
-    std::vector<std::uint64_t> steps;  ///< WorldResult::steps
-  };
-
   static GoldenCache& instance();
-
-  std::optional<Value> find(const std::string& key) const;
-  void put(const std::string& key, const Value& value);
-  std::size_t size() const;
-  void clear();  // tests
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, Value> entries_;
+  void clear() {}
 };
 
 }  // namespace fastfit::core

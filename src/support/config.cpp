@@ -59,8 +59,6 @@ constexpr ConfigKnob kKnobs[] = {
      "prefix-replay world snapshots (default auto)"},
     {"FASTFIT_SNAPSHOT_CACHE_MB", "snapshot-cache-mb", "MB",
      "LRU budget for the snapshot recording and cuts"},
-    {"FASTFIT_SNAPSHOT_RECORDING", "snapshot-recording", "FILE",
-     "durable prefix-replay recording shared across resume and shards"},
     {"FASTFIT_TRACE", "trace-out", "FILE",
      "Chrome trace-event JSON of the trial lifecycle"},
     {"FASTFIT_METRICS", "metrics-out", "FILE",
@@ -148,11 +146,6 @@ InjectionConfig InjectionConfig::from_map(
       if (cfg.snapshot_cache_mb == 0) {
         throw ConfigError("FASTFIT_SNAPSHOT_CACHE_MB: must be >= 1");
       }
-    } else if (key == "FASTFIT_SNAPSHOT_RECORDING") {
-      if (value.empty()) {
-        throw ConfigError("FASTFIT_SNAPSHOT_RECORDING: path must not be empty");
-      }
-      cfg.snapshot_recording = value;
     } else {
       throw ConfigError("unknown configuration key: " + key);
     }
@@ -195,9 +188,6 @@ std::map<std::string, std::string> InjectionConfig::to_map() const {
   if (repair) kv["FASTFIT_REPAIR"] = "1";
   if (isolation != "thread") kv["FASTFIT_ISOLATION"] = isolation;
   if (snapshots != "auto") kv["FASTFIT_SNAPSHOTS"] = snapshots;
-  if (!snapshot_recording.empty()) {
-    kv["FASTFIT_SNAPSHOT_RECORDING"] = snapshot_recording;
-  }
   if (snapshot_cache_mb != 256) {
     kv["FASTFIT_SNAPSHOT_CACHE_MB"] = std::to_string(snapshot_cache_mb);
   }

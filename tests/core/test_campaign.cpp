@@ -226,6 +226,34 @@ TEST(Campaign, GoldenDigestStableAcrossCampaigns) {
   EXPECT_EQ(c1.golden_digest(), c2.golden_digest());
 }
 
+TEST(Campaign, ProfilingRunMatchesAnUninstrumentedRun) {
+  // The profiling run is the campaign's only fault-free run, and injected
+  // worlds run without the profiler. So the profiler must not change the
+  // execution: digest and per-rank steps must equal a plain run's.
+  for (const char* name : {"IS", "FT", "MG", "LU", "CG", "EP", "miniMD"}) {
+    SCOPED_TRACE(name);
+    const auto workload = apps::make_workload(name);
+    const auto opts = small_options();
+    Campaign campaign(*workload, opts);
+    campaign.profile();
+
+    mpi::WorldOptions world;
+    world.nranks = opts.nranks;
+    world.seed = opts.seed;
+    world.algorithms = opts.algorithms;
+    trace::ContextRegistry contexts(opts.nranks, /*record_call_graph=*/false);
+    const auto plain = apps::run_job(*workload, world, nullptr, contexts);
+    ASSERT_TRUE(plain.world.clean());
+    EXPECT_EQ(campaign.golden_digest(), plain.digest);
+    ASSERT_EQ(campaign.step_budget().size(), plain.world.steps.size());
+    for (std::size_t r = 0; r < plain.world.steps.size(); ++r) {
+      EXPECT_EQ(campaign.step_budget()[r],
+                plain.world.steps[r] * Campaign::kStepBudgetMultiplier)
+          << "rank " << r;
+    }
+  }
+}
+
 TEST(Campaign, FiberEnginePool8MatchesSerialBitIdentical) {
   const auto workload = apps::make_workload("LU");
   auto opts = small_options();

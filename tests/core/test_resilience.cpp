@@ -36,8 +36,8 @@ using namespace std::chrono_literals;
 //  - `slow_from`/`slow_until`: rank 0 sleeps `slow_ms` and then calls
 //    check_deadline() for jobs in that window — slow in wall time, but
 //    finite.
-// Job ordinals count every World execution (golden = 1, profiling = 2,
-// trials from 3), assigned by rank 0 at entry.
+// Job ordinals count every World execution (profiling = 1, trials from
+// 2), assigned by rank 0 at entry.
 class SupervisedWorkload final : public apps::Workload {
  public:
   std::string name() const override { return "supervised"; }
@@ -284,11 +284,12 @@ TEST(Resilience, SlowButFiniteTrialIsNotInfLoop) {
   SupervisedWorkload workload;
   workload.slow_ms = 1000;
   Campaign campaign(workload, supervised_options());
-  campaign.profile();  // jobs 1 (golden) and 2 (profiling)
+  campaign.profile();  // job 1: the one fault-free (profiling) run
+  EXPECT_EQ(workload.jobs.load(), 1);
 
-  // Job 3 is the trial; job 4 would have been the watchdog's re-run.
-  workload.slow_from.store(3);
-  workload.slow_until.store(4);
+  // Job 2 is the trial; job 3 would have been the watchdog's re-run.
+  workload.slow_from.store(2);
+  workload.slow_until.store(3);
   const InjectionPoint point = sendbuf_point(campaign);
   const auto result =
       campaign.measure_many(std::span<const InjectionPoint>(&point, 1), 1);
@@ -297,7 +298,7 @@ TEST(Resilience, SlowButFiniteTrialIsNotInfLoop) {
   EXPECT_EQ(result[0].counts[static_cast<std::size_t>(
                 inject::Outcome::InfLoop)],
             0u);
-  EXPECT_EQ(workload.jobs.load(), 3);  // no re-run
+  EXPECT_EQ(workload.jobs.load(), 2);  // no re-run
   EXPECT_TRUE(campaign.health().clean());
 }
 
@@ -347,8 +348,8 @@ TEST(Resilience, DeterministicDeadlockBypassesWatchdogMachinery) {
   Campaign campaign(workload, supervised_options());
   campaign.profile();
 
-  workload.hang_from.store(3);
-  workload.hang_until.store(3);
+  workload.hang_from.store(2);
+  workload.hang_until.store(2);
   const auto result = campaign.measure(sendbuf_point(campaign), 1);
   EXPECT_EQ(result.trials, 1u);
   EXPECT_EQ(result.counts[static_cast<std::size_t>(inject::Outcome::InfLoop)],
@@ -370,8 +371,8 @@ TEST(Resilience, DeterministicFlagAndAutopsyAreJournaled) {
   campaign.profile();
   const auto path = temp_journal("autopsy");
   campaign.attach_journal(path, JournalMode::Create);
-  workload.hang_from.store(3);
-  workload.hang_until.store(3);
+  workload.hang_from.store(2);
+  workload.hang_until.store(2);
   (void)campaign.measure(sendbuf_point(campaign), 1);
   campaign.detach_journal();
 

@@ -322,7 +322,6 @@ TEST(Config, KnobTableIsCompleteAndConsistent) {
       {"FASTFIT_METRICS_INTERVAL_MS", "100"},
       {"FASTFIT_SNAPSHOTS", "auto"},
       {"FASTFIT_SNAPSHOT_CACHE_MB", "64"},
-      {"FASTFIT_SNAPSHOT_RECORDING", "lu.recording"},
       {"FASTFIT_FAULT_MODELS", "single-bit-flip,rank-death"},
       {"FASTFIT_REPAIR", "1"},
       {"FASTFIT_ISOLATION", "process"},
@@ -378,6 +377,23 @@ TEST(Config, SnapshotKnobsValidate) {
   EXPECT_TRUE(cfg.to_map().count("FASTFIT_SNAPSHOTS"));
   EXPECT_TRUE(cfg.to_map().count("FASTFIT_SNAPSHOT_CACHE_MB"));
   EXPECT_FALSE(InjectionConfig{}.to_map().count("FASTFIT_SNAPSHOTS"));
+}
+
+TEST(Config, RemovedSnapshotRecordingKnobIsRejected) {
+  // The prefix-replay recording lives in memory only, so a stale durable
+  // recording path fails loudly instead of being silently ignored.
+  try {
+    InjectionConfig::from_map({{"FASTFIT_SNAPSHOT_RECORDING", "lu.recording"}});
+    ADD_FAILURE() << "FASTFIT_SNAPSHOT_RECORDING was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("FASTFIT_SNAPSHOT_RECORDING"),
+              std::string::npos)
+        << e.what();
+  }
+  for (const auto& knob : config_knobs()) {
+    EXPECT_STRNE(knob.env, "FASTFIT_SNAPSHOT_RECORDING");
+    EXPECT_STRNE(knob.flag, "snapshot-recording");
+  }
 }
 
 TEST(Config, FaultModelKnobsValidate) {

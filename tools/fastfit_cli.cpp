@@ -339,13 +339,6 @@ int cmd_study(const std::string& workload_name, const Args& args) {
                                     args.get("snapshot-cache-mb", "256")}})
             .snapshot_cache_mb;
   }
-  options.campaign.recording_path = env.snapshot_recording;
-  if (args.has("snapshot-recording")) {
-    options.campaign.recording_path =
-        InjectionConfig::from_map({{"FASTFIT_SNAPSHOT_RECORDING",
-                                    args.get("snapshot-recording", "")}})
-            .snapshot_recording;
-  }
 
   // Pipeline selection: the pruning chain and the deterministic shard.
   options.passes = resolve_passes(args, env);
