@@ -79,9 +79,9 @@ int main() {
       static_cast<double>(points.size()) * static_cast<double>(trials);
 
   // Warm-up (untimed): one full pass so first-touch costs — page faults,
-  // allocator growth, lazily-built golden baselines — land here instead
-  // of on the serial baseline, which every later section is compared
-  // against.
+  // allocator growth, the lazily-built snapshot recording — land here
+  // instead of on the serial baseline, which every later section is
+  // compared against.
   for (const auto& point : points) (void)campaign.measure(point);
 
   // Baseline: the plain serial measure() loop.

@@ -59,9 +59,9 @@ int main() {
       std::min<std::uint64_t>(config.num_inj, 1000));
   options.seed = config.seed;
 
-  // The study pipeline owns engine construction; profile() is the golden
-  // run + profiling run + pruning, after which the campaign engine is
-  // ready for hand-driven measurement.
+  // The study pipeline owns engine construction; profile() is the one
+  // fault-free profiling run + pruning, after which the campaign engine
+  // is ready for hand-driven measurement.
   core::StudyDriver driver(workload, {.campaign = options, .use_ml = false});
   driver.profile();
   auto& campaign = driver.campaign();
