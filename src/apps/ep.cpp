@@ -42,6 +42,7 @@ std::uint64_t MiniEP::run_rank(AppContext& ctx) const {
     trace::FunctionScope scope(tr, "generate_deviates");
     RngStream rng(ctx.input_seed, "ep-pairs", static_cast<std::uint64_t>(me));
     for (int k = 0; k < pairs; ++k) {
+      if (k % 1024 == 0) mpi.check_deadline();  // one step per 1024 pairs
       const double u = 2.0 * rng.uniform() - 1.0;
       const double v = 2.0 * rng.uniform() - 1.0;
       const double s = u * u + v * v;
@@ -58,7 +59,6 @@ std::uint64_t MiniEP::run_rank(AppContext& ctx) const {
       ++tally[static_cast<std::size_t>(ring)];
     }
   }
-
   // ---- end phase: global tallies and verification ---------------------------
   tr.set_phase(trace::ExecPhase::End);
   std::uint64_t digest;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include <unistd.h>
 
@@ -109,9 +110,9 @@ CampaignOptions supervised_options() {
   opts.trials_per_point = 4;
   opts.seed = 101;
   opts.max_parallel_trials = 1;
-  // These tests script failures by *job ordinal* (golden = 1, profiling
-  // = 2, trials from 3); the snapshot recording run would shift the
-  // ordinals and absorb scripted failures, so pin it off here. Snapshot
+  // These tests script failures by *job ordinal* (profiling = 1, trials
+  // from 2); the snapshot recording run would shift the ordinals and
+  // absorb scripted failures, so pin it off here. Snapshot
   // parity has its own suite (test_snapshot_parity.cpp).
   opts.snapshots = SnapshotMode::Off;
   return opts;
@@ -338,6 +339,53 @@ TEST(Resilience, LivelockEndsAtStepBudgetIdenticallyAtEveryPoolSize) {
     }
   }
   EXPECT_TRUE(livelock_seen);
+}
+
+TEST(Resilience, EpFlippedPairCountEndsAtStepBudget) {
+  // Regression: EP's pair loop took no steps, so a bit flip in the
+  // broadcast pair count (EP admits up to 2^24 pairs per rank) computed for
+  // seconds and ended as WRONG_ANS. The loop now steps once per 1024 pairs,
+  // so trial 0 of this point exhausts rank 0's step budget.
+  const auto workload = apps::make_workload("EP");
+  const auto run = [&workload](std::size_t pool) {
+    CampaignOptions opts;
+    opts.nranks = 8;
+    opts.trials_per_point = 3;
+    opts.seed = 20260805;
+    opts.max_parallel_trials = pool;
+    Campaign campaign(*workload, opts);
+    campaign.profile();
+    const auto& points = campaign.enumeration().points;
+    const auto it = std::find_if(
+        points.begin(), points.end(), [](const InjectionPoint& p) {
+          return p.kind == mpi::CollectiveKind::Bcast &&
+                 p.param == mpi::Param::SendBuf && p.rank == 0;
+        });
+    EXPECT_NE(it, points.end());
+    const std::span<const InjectionPoint> point(&*it, 1);
+    // All three trials for the counts; trial 0 alone for its autopsy
+    // (last_autopsy reports the batch's last non-SUCCESS trial).
+    return std::make_pair(campaign.measure_many(point).at(0),
+                          campaign.measure_many(point, 1).at(0));
+  };
+  const auto [serial, serial_first] = run(1);
+  const auto [pooled, pooled_first] = run(4);
+  EXPECT_EQ(serial.counts, pooled.counts);
+  EXPECT_EQ(serial.exec.last_autopsy, pooled.exec.last_autopsy);
+  EXPECT_EQ(serial_first.exec.last_autopsy, pooled_first.exec.last_autopsy);
+  EXPECT_EQ(serial.counts[static_cast<std::size_t>(inject::Outcome::InfLoop)],
+            1u);
+  EXPECT_EQ(serial.counts[static_cast<std::size_t>(inject::Outcome::WrongAns)],
+            0u);
+  EXPECT_EQ(serial_first.counts[static_cast<std::size_t>(
+                inject::Outcome::InfLoop)],
+            1u);
+  EXPECT_NE(serial_first.exec.last_autopsy.find("step budget of"),
+            std::string::npos)
+      << serial_first.exec.last_autopsy;
+  EXPECT_NE(serial_first.exec.last_autopsy.find("exhausted (livelock)"),
+            std::string::npos)
+      << serial_first.exec.last_autopsy;
 }
 
 TEST(Resilience, DeterministicDeadlockBypassesWatchdogMachinery) {
