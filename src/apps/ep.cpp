@@ -42,7 +42,7 @@ std::uint64_t MiniEP::run_rank(AppContext& ctx) const {
     trace::FunctionScope scope(tr, "generate_deviates");
     RngStream rng(ctx.input_seed, "ep-pairs", static_cast<std::uint64_t>(me));
     for (int k = 0; k < pairs; ++k) {
-      if (k % 1024 == 0) mpi.check_deadline();  // one step per 1024 pairs
+      if (k % 1024 == 0) mpi.check_deadline();  // bounds a flipped pair count
       const double u = 2.0 * rng.uniform() - 1.0;
       const double v = 2.0 * rng.uniform() - 1.0;
       const double s = u * u + v * v;

@@ -123,8 +123,8 @@ void Campaign::profile() {
   // execution. Same problem as the injection runs, so the features
   // transfer; it also yields the golden digest and the per-rank step
   // counts behind the trial step budgets. The profiler only observes, so
-  // the run matches an uninstrumented one (the recording run's digest
-  // check re-proves it whenever snapshots engage).
+  // the run matches an uninstrumented one; the uninstrumented recording
+  // run must reproduce this digest before any prefix is replayed.
   contexts_ = std::make_unique<trace::ContextRegistry>(options_.nranks);
   profiler_ = std::make_unique<profile::Profiler>(*contexts_);
   mpi::WorldOptions profile_opts;

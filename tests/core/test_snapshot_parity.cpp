@@ -132,10 +132,10 @@ TEST(SnapshotParity, ResumeFromJournalStaysBitIdentical) {
 }
 
 TEST(SnapshotParity, GoldenRunIsMemoizedAcrossCampaigns) {
-  // Nothing is memoized any more: every campaign's profiling run is its
-  // own fault-free run. Two campaigns over one configuration must still
-  // agree on the digest every trial is classified against and on the
-  // step budgets that bound every trial.
+  // Every campaign's profiling run is its own fault-free run (the name
+  // predates the removal of the golden-run memo). Two campaigns over one
+  // configuration must agree on the digest every trial is classified
+  // against and on the step budgets that bound every trial.
   const auto workload = apps::make_workload("EP");
   const auto opts = base_options(SnapshotMode::Off);
 
