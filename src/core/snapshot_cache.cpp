@@ -174,9 +174,4 @@ SnapshotCache::Stats SnapshotCache::stats() const {
   return out;
 }
 
-GoldenCache& GoldenCache::instance() {
-  static GoldenCache cache;
-  return cache;
-}
-
 }  // namespace fastfit::core

@@ -116,7 +116,10 @@ class SnapshotCache {
 /// because perfbench/refstudy.cpp still calls clear().
 class GoldenCache {
  public:
-  static GoldenCache& instance();
+  static GoldenCache& instance() {
+    static GoldenCache cache;
+    return cache;
+  }
   void clear() {}
 };
 
