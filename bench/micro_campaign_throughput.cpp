@@ -67,7 +67,7 @@ int main() {
   options.seed = bench::bench_seed();
   // The executor/journal/shard/hang sections measure *those* subsystems;
   // prefix replay would fold its own speedup into every number, so it is
-  // pinned off here and gets its own on/off/auto section below.
+  // pinned off here and gets its own off/auto section below.
   options.snapshots = core::SnapshotMode::Off;
   const auto workload = apps::make_workload("EP");
   const auto driver = bench::profiled_driver(*workload, options);
@@ -79,7 +79,7 @@ int main() {
       static_cast<double>(points.size()) * static_cast<double>(trials);
 
   // Warm-up (untimed): one full pass so first-touch costs — page faults,
-  // allocator growth, the lazily-built snapshot recording — land here
+  // allocator growth — land here
   // instead of on the serial baseline, which every later section is
   // compared against.
   for (const auto& point : points) (void)campaign.measure(point);
@@ -353,7 +353,7 @@ int main() {
   // Prefix-replay snapshots on a wide study (default: 32-rank LU at a
   // size where the computation dominates thread spawn). From-scratch
   // trials pay the whole pre-injection prefix in live rendezvous; with
-  // snapshots on, the recording is built once and every trial clones
+  // snapshots auto, the recording is built once and every trial clones
   // it, executing only the post-injection suffix. Two point subsets:
   // "mix" strides across the whole enumeration (the study's blend of
   // early and late cuts — early-cut trials still run their suffix live,
@@ -385,9 +385,9 @@ int main() {
   struct SnapSubset {
     const char* name;
     std::vector<InjectionPoint> points{};
-    double sec[3] = {0.0, 0.0, 0.0};
-    double tps[3] = {0.0, 0.0, 0.0};
-    std::vector<core::PointResult> results[3] = {};
+    double sec[2] = {0.0, 0.0};
+    double tps[2] = {0.0, 0.0};
+    std::vector<core::PointResult> results[2] = {};
   };
   SnapSubset snap_subsets[2] = {{"mix"}, {"suffix"}};
   struct SnapMode {
@@ -396,10 +396,9 @@ int main() {
     core::SnapshotCache::Stats stats{};
     long rss_kb = 0;
   };
-  SnapMode snap_modes[3] = {{"off", core::SnapshotMode::Off},
-                            {"on", core::SnapshotMode::On},
+  SnapMode snap_modes[2] = {{"off", core::SnapshotMode::Off},
                             {"auto", core::SnapshotMode::Auto}};
-  for (std::size_t m = 0; m < 3; ++m) {
+  for (std::size_t m = 0; m < 2; ++m) {
     snap_options.snapshots = snap_modes[m].setting;
     const auto snap_driver =
         bench::profiled_driver(snap_workload, snap_options);
@@ -447,7 +446,7 @@ int main() {
   }
   bool snap_identical = true;
   for (auto& subset : snap_subsets) {
-    for (std::size_t m = 1; m < 3; ++m) {
+    for (std::size_t m = 1; m < 2; ++m) {
       for (std::size_t i = 0; i < subset.points.size(); ++i) {
         if (subset.results[m][i].counts != subset.results[0][i].counts) {
           snap_identical = false;
@@ -480,7 +479,7 @@ int main() {
        << ", \"replay_speedup_suffix\": " << snap_speedup_suffix
        << ", \"identical\": " << (snap_identical ? "true" : "false")
        << ",\n    \"modes\": [";
-  for (std::size_t m = 0; m < 3; ++m) {
+  for (std::size_t m = 0; m < 2; ++m) {
     const auto& run = snap_modes[m];
     const auto& s = run.stats;
     const double lookups =
@@ -499,10 +498,8 @@ int main() {
          << ", \"cache_hit_rate\": "
          << (lookups > 0.0 ? static_cast<double>(s.hits) / lookups : 0.0)
          << ", \"clones\": " << s.clones
-         << ", \"evictions\": " << s.evictions
          << ", \"fallbacks\": " << s.fallbacks
          << ", \"recording_bytes\": " << s.recording_bytes
-         << ", \"cached_bytes\": " << s.cached_bytes
          << ", \"peak_rss_kb\": " << run.rss_kb << "}";
   }
   json << "\n    ]},\n  \"telemetry\": {"

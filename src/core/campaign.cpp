@@ -107,12 +107,9 @@ Campaign::Campaign(const apps::Workload& workload, CampaignOptions options)
       options_.shard.index > options_.shard.count) {
     throw ConfigError("Campaign: shard must satisfy 1 <= index <= count");
   }
-  if (options_.snapshot_cache_mb < 1) {
-    throw ConfigError("Campaign: snapshot_cache_mb must be >= 1");
-  }
   if (options_.snapshots != SnapshotMode::Off) {
-    snapshot_cache_ = std::make_unique<SnapshotCache>(
-        static_cast<std::size_t>(options_.snapshot_cache_mb) * 1024 * 1024);
+    snapshot_cache_ =
+        std::make_unique<SnapshotCache>([this] { return build_recording(); });
   }
 }
 
@@ -301,25 +298,15 @@ inject::TrialForensics Campaign::run_trial(
   // prefix-visible state (message delay/drop, probabilistic or windowed
   // triggers that may fire inside the prefix) must execute from scratch —
   // the recorded fault-free prefix would silently mask the perturbation.
-  if (inject::is_replayable(point.fault) && snapshot_cache_ &&
-      !snapshot_cache_->disabled()) {
-    std::shared_ptr<const mpi::WorldSnapshot> snapshot;
-    {
-      tel::ScopedSpan clone_span("snapshot-clone");
-      snapshot = snapshot_cache_->lookup(point.site_id, point.invocation,
-                                         [this] { return build_recording(); });
-    }
-    if (snapshot) {
+  if (inject::is_replayable(point.fault) && snapshot_cache_) {
+    if (auto snapshot =
+            snapshot_cache_->find(point.site_id, point.invocation)) {
       try {
         return execute_trial(point, trial, step_budget, std::move(snapshot));
-      } catch (const mpi::ReplayError& e) {
-        // Divergence is a harness condition, never a trial outcome: fall
-        // back to the from-scratch path below. Under `auto` one
-        // divergence retires the subsystem for the whole campaign.
+      } catch (const mpi::ReplayError&) {
+        // Divergence is a harness condition, never a trial outcome: count
+        // it and rerun this trial from scratch below.
         snapshot_cache_->note_fallback();
-        if (options_.snapshots == SnapshotMode::Auto) {
-          snapshot_cache_->disable(e.what());
-        }
       }
     }
   }
@@ -388,18 +375,6 @@ inject::TrialForensics Campaign::execute_trial(
   tel::ScopedSpan classify_span("classify");
   return inject::classify_with_forensics(job.world, job.digest,
                                          golden_digest_);
-}
-
-void Campaign::warm_snapshots(std::span<const InjectionPoint> points) {
-  if (!snapshot_cache_ || snapshot_cache_->disabled()) return;
-  std::set<std::pair<std::uint32_t, std::uint64_t>> warmed;
-  for (const auto& point : points) {
-    if (!inject::is_replayable(point.fault)) continue;
-    if (!warmed.insert({point.site_id, point.invocation}).second) continue;
-    (void)snapshot_cache_->warm(point.site_id, point.invocation,
-                                [this] { return build_recording(); });
-    if (snapshot_cache_->disabled()) return;
-  }
 }
 
 inject::TrialForensics Campaign::dispatch_trial(const InjectionPoint& point,
@@ -510,10 +485,14 @@ std::vector<PointResult> Campaign::measure_impl(
     std::span<const InjectionPoint> points, std::uint32_t trials,
     std::size_t pool) {
   if (!profiled_) throw InternalError("Campaign: profile() not run");
-  measuring_.fetch_add(1, std::memory_order_acq_rel);
+  // The cut table below is written without a lock, so measures on one
+  // campaign must not overlap.
+  if (measuring_.exchange(true, std::memory_order_acq_rel)) {
+    throw InternalError("Campaign: a measure is already running");
+  }
   struct MeasuringGuard {
-    std::atomic<int>& flag;
-    ~MeasuringGuard() { flag.fetch_sub(1, std::memory_order_acq_rel); }
+    std::atomic<bool>& flag;
+    ~MeasuringGuard() { flag.store(false, std::memory_order_release); }
   } measuring_guard{measuring_};
 
   tel::ScopedSpan batch_span("measure-batch");
@@ -522,13 +501,21 @@ std::vector<PointResult> Campaign::measure_impl(
   batch_span.arg("pool", std::to_string(pool));
   batch_span.arg("isolation", to_string(options_.isolation));
 
+  // Complete the cut table before any trial starts: trials read it without
+  // a lock, and forked workers inherit it instead of rebuilding it. The
+  // recording is built on the first batch that has a replayable point.
+  if (snapshot_cache_) {
+    for (const auto& point : points) {
+      if (inject::is_replayable(point.fault)) {
+        snapshot_cache_->add_cut(point.site_id, point.invocation);
+      }
+    }
+  }
+
   // Process isolation: fork the lane servers now, from the quietest
-  // moment this measure has — before the trial pool spawns threads, and
-  // after pre-paying the snapshot recording so every worker inherits it
-  // instead of rebuilding it per child.
+  // moment this measure has — before the trial pool spawns threads.
   std::unique_ptr<ProcPool> proc_pool;
   if (options_.isolation == IsolationMode::Process) {
-    warm_snapshots(points);
     ProcPool::Options pool_options;
     pool_options.lanes = std::max<std::size_t>(1, pool);
     pool_options.respawn_budget = pool_options.lanes * 2 + 2;

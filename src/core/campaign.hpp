@@ -90,16 +90,13 @@ struct CampaignOptions {
   /// driver does the actual partitioning.
   ShardSpec shard;
   /// Prefix-replay world snapshots (--snapshots, FASTFIT_SNAPSHOTS):
-  /// trials clone a recorded fault-free prefix and execute only the
-  /// post-injection suffix. Results are bit-identical at every setting;
-  /// `auto` additionally falls back campaign-wide on the first replay
-  /// divergence, `on` keeps replaying point by point, `off` is the
-  /// from-scratch path.
+  /// under `auto` (default), trials clone a recorded fault-free prefix and
+  /// execute only the post-injection suffix; a trial whose replay diverges
+  /// reruns from scratch. `off` runs every trial from scratch. Replay is
+  /// meant to change wall time only, but it does not yet on every
+  /// workload: some IS, CG and miniMD points count different outcomes
+  /// under `auto` than under `off` (docs/snapshot.md, "Parity").
   SnapshotMode snapshots = SnapshotMode::Auto;
-  /// LRU budget for the snapshot cache in MiB (--snapshot-cache-mb,
-  /// FASTFIT_SNAPSHOT_CACHE_MB): bounds the recording payload plus all
-  /// derived per-cut snapshots. Must be >= 1.
-  std::uint64_t snapshot_cache_mb = 256;
   /// Trial execution backend (--isolation, FASTFIT_ISOLATION). `Thread`
   /// (default) runs trials in-process on the executor's lane threads.
   /// `Process` dispatches each trial to a fresh child of a per-lane
@@ -193,9 +190,11 @@ class Campaign : private TrialRunner {
   /// responses. Deterministic in (campaign seed, point, trial index): the
   /// per-trial RNG identity is derived from the point coordinates and the
   /// trial ordinal (FaultSpec::stream_index), so the result does not
-  /// depend on what was measured before — or concurrently. Trials run
-  /// serially; internal failures are retried and, on exhaustion, the
-  /// point is quarantined (see PointResult::exec) rather than thrown.
+  /// depend on what was measured before. Trials run serially; internal
+  /// failures are retried and, on exhaustion, the point is quarantined
+  /// (see PointResult::exec) rather than thrown. Measures on one campaign
+  /// must not overlap: a measure started while another is running throws
+  /// InternalError.
   PointResult measure(const InjectionPoint& point, std::uint32_t trials);
 
   /// Convenience: measure with the configured trials_per_point.
@@ -223,7 +222,7 @@ class Campaign : private TrialRunner {
 
   /// True while a measure()/measure_many() call is executing (any thread).
   bool measuring() const noexcept {
-    return measuring_.load(std::memory_order_acquire) != 0;
+    return measuring_.load(std::memory_order_acquire);
   }
 
   /// Total injected executions so far (a statistic, not an RNG input).
@@ -268,7 +267,7 @@ class Campaign : private TrialRunner {
   std::unique_ptr<profile::Profiler> profiler_;
   Enumeration enumeration_;
   std::unique_ptr<TrialJournal> journal_;
-  /// Present unless snapshots == Off; owns the recording + cut LRU.
+  /// Present unless snapshots == Off; owns the recording and the cut table.
   std::unique_ptr<SnapshotCache> snapshot_cache_;
   std::atomic<std::uint64_t> trials_run_{0};
   std::atomic<std::uint64_t> total_retries_{0};
@@ -278,7 +277,7 @@ class Campaign : private TrialRunner {
   std::atomic<std::uint64_t> worker_deaths_{0};
   std::atomic<std::uint64_t> worker_lease_kills_{0};
   std::atomic<std::uint64_t> isolation_fallbacks_{0};
-  std::atomic<int> measuring_{0};
+  std::atomic<bool> measuring_{false};
   /// Live only while a process-isolated measure is in flight; run_guarded
   /// dispatches through it instead of running the trial in-process.
   std::atomic<ProcPool*> active_pool_{nullptr};
@@ -305,8 +304,8 @@ class Campaign : private TrialRunner {
       std::shared_ptr<const mpi::WorldSnapshot> snapshot);
 
   /// One fault-free, uninstrumented recording run, digest-checked against
-  /// the profiling run. Returns nullptr on any failure — the snapshot
-  /// subsystem disables itself instead of costing the trial.
+  /// the profiling run. Returns nullptr on any failure — the cut table
+  /// then stays empty and every trial runs from scratch.
   std::shared_ptr<const mpi::WorldRecording> build_recording();
 
   /// Routes one trial to the right backend: the live worker pool under
@@ -317,11 +316,6 @@ class Campaign : private TrialRunner {
   /// never fire inside the campaign process).
   inject::TrialForensics dispatch_trial(const InjectionPoint& point,
                                         std::uint64_t trial);
-
-  /// Pre-derives the snapshot recording + cuts for every replayable point
-  /// of the batch, so forked workers inherit them instead of each child
-  /// re-paying the recording cost.
-  void warm_snapshots(std::span<const InjectionPoint> points);
 
   /// TrialRunner: supervised execution of one trial — retries internal
   /// (non-fault) failures with exponential backoff up to

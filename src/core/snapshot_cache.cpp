@@ -9,155 +9,47 @@ namespace tel = fastfit::telemetry;
 
 SnapshotMode parse_snapshot_mode(const std::string& text) {
   if (text == "off") return SnapshotMode::Off;
-  if (text == "on") return SnapshotMode::On;
   if (text == "auto") return SnapshotMode::Auto;
-  throw ConfigError("snapshots must be one of on|off|auto, got '" + text +
-                    "'");
+  throw ConfigError("snapshots must be one of off|auto, got '" + text + "'");
 }
 
 const char* to_string(SnapshotMode mode) noexcept {
   switch (mode) {
     case SnapshotMode::Off: return "off";
-    case SnapshotMode::On: return "on";
     case SnapshotMode::Auto: return "auto";
   }
   return "unknown";
 }
 
-SnapshotCache::SnapshotCache(std::size_t budget_bytes)
-    : budget_bytes_(budget_bytes) {}
-
-std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::lookup(
-    std::uint32_t site_id, std::uint64_t invocation,
-    const RecordingBuilder& build) {
-  std::unique_lock lock(mutex_);
-  if (disabled_) return nullptr;
-
-  if (!recording_attempted_) {
-    // Build the recording under the lock: the build is expensive but
-    // happens exactly once, and concurrent trials must not each run it.
-    recording_attempted_ = true;
-    std::shared_ptr<const mpi::WorldRecording> recording;
-    try {
-      recording = build();
-    } catch (const std::exception& e) {
-      // A recording failure must never cost the trial (let alone the
-      // point): disable the subsystem and let every trial run live.
-      disabled_ = true;
-      disabled_why_ = std::string("recording run failed: ") + e.what();
-      return nullptr;
-    }
-    if (!recording || !recording->replayable) {
-      disabled_ = true;
-      disabled_why_ = recording ? "recording not replayable: " +
-                                      recording->unsupported_reason
-                                : "recording run failed";
-      return nullptr;
-    }
-    if (recording->payload_bytes > budget_bytes_) {
-      disabled_ = true;
-      disabled_why_ = "recording of " +
-                      std::to_string(recording->payload_bytes) +
-                      " bytes exceeds the snapshot cache budget";
-      return nullptr;
-    }
-    recording_ = std::move(recording);
-    ++stats_.recording_builds;
-    stats_.recording_bytes = recording_->payload_bytes;
-  }
-  if (!recording_) return nullptr;
-
+void SnapshotCache::add_cut(std::uint32_t site_id, std::uint64_t invocation) {
   const Key key{site_id, invocation};
-  if (invalid_.count(key) != 0) return nullptr;
-  if (auto it = entries_.find(key); it != entries_.end()) {
-    order_.splice(order_.begin(), order_, it->second.where);
-    ++stats_.hits;
-    ++stats_.clones;
-    if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
-      static auto& hits = rec.counter("fastfit_snapshot_cache_hits_total",
-                                      "Snapshot lookups served from cache");
-      hits.add();
-    }
-    return it->second.snapshot;
+  if (cuts_.count(key) != 0) return;
+  if (!recording_attempted_) {
+    recording_attempted_ = true;
+    auto recording = build_();
+    if (recording && recording->replayable) recording_ = std::move(recording);
   }
-
-  auto snapshot = mpi::WorldSnapshot::build(recording_, site_id, invocation);
-  ++stats_.snapshot_builds;
+  if (!recording_) return;
+  auto& cut = cuts_[key];
+  cut = mpi::WorldSnapshot::build(recording_, site_id, invocation);
+  if (cut) ++valid_cuts_;
   if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
     static auto& builds = rec.counter("fastfit_snapshot_builds_total",
                                       "Per-(site, invocation) cut derivations");
     builds.add();
   }
-  if (!snapshot) {
-    invalid_.insert(key);
-    return nullptr;
-  }
-
-  order_.push_front(key);
-  entries_.emplace(key, Entry{snapshot, order_.begin()});
-  snapshot_bytes_ += snapshot->approx_bytes;
-  evict_to_fit_locked();
-  ++stats_.clones;
-  if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
-    static auto& gauge =
-        rec.gauge("fastfit_snapshot_cache_bytes",
-                  "Bytes held by the snapshot cache (recording + cuts)");
-    gauge.set(static_cast<std::int64_t>(stats_.recording_bytes +
-                                        snapshot_bytes_));
-  }
-  return snapshot;
 }
 
-bool SnapshotCache::warm(std::uint32_t site_id, std::uint64_t invocation,
-                         const RecordingBuilder& build) {
-  return lookup(site_id, invocation, build) != nullptr;
-}
-
-void SnapshotCache::evict_to_fit_locked() {
-  const std::size_t base = recording_ ? recording_->payload_bytes : 0;
-  while (entries_.size() > 1 && base + snapshot_bytes_ > budget_bytes_) {
-    const Key victim = order_.back();
-    order_.pop_back();
-    auto it = entries_.find(victim);
-    snapshot_bytes_ -= it->second.snapshot->approx_bytes;
-    entries_.erase(it);
-    ++stats_.evictions;
-    if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
-      static auto& evictions =
-          rec.counter("fastfit_snapshot_cache_evictions_total",
-                      "Snapshots dropped by the LRU budget");
-      evictions.add();
-    }
-  }
-}
-
-void SnapshotCache::disable(const std::string& why) {
-  std::lock_guard lock(mutex_);
-  if (disabled_) return;
-  disabled_ = true;
-  disabled_why_ = why;
-  recording_.reset();
-  entries_.clear();
-  order_.clear();
-  invalid_.clear();
-  snapshot_bytes_ = 0;
-}
-
-bool SnapshotCache::disabled() const {
-  std::lock_guard lock(mutex_);
-  return disabled_;
-}
-
-std::string SnapshotCache::disabled_reason() const {
-  std::lock_guard lock(mutex_);
-  return disabled_why_;
+std::shared_ptr<const mpi::WorldSnapshot> SnapshotCache::find(
+    std::uint32_t site_id, std::uint64_t invocation) {
+  const auto it = cuts_.find(Key{site_id, invocation});
+  if (it == cuts_.end() || !it->second) return nullptr;
+  clones_.fetch_add(1, std::memory_order_relaxed);
+  return it->second;
 }
 
 void SnapshotCache::note_fallback() {
-  {
-    std::lock_guard lock(mutex_);
-    ++stats_.fallbacks;
-  }
+  fallbacks_.fetch_add(1, std::memory_order_relaxed);
   if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
     static auto& fallbacks =
         rec.counter("fastfit_snapshot_fallbacks_total",
@@ -167,10 +59,13 @@ void SnapshotCache::note_fallback() {
 }
 
 SnapshotCache::Stats SnapshotCache::stats() const {
-  std::lock_guard lock(mutex_);
-  Stats out = stats_;
-  out.cached_bytes = (recording_ ? recording_->payload_bytes : 0) +
-                     snapshot_bytes_;
+  Stats out;
+  out.recording_builds = recording_ ? 1 : 0;
+  out.snapshot_builds = cuts_.size();
+  out.clones = clones_.load(std::memory_order_relaxed);
+  out.hits = out.clones > valid_cuts_ ? out.clones - valid_cuts_ : 0;
+  out.fallbacks = fallbacks_.load(std::memory_order_relaxed);
+  out.recording_bytes = recording_ ? recording_->payload_bytes : 0;
   return out;
 }
 

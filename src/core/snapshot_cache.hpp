@@ -2,26 +2,22 @@
 
 // Campaign-side snapshot management (tentpole of the prefix-replay work):
 //
-//  * SnapshotMode — the --snapshots on|off|auto knob. `auto` (default)
-//    uses replay but permanently falls back campaign-wide on the first
-//    divergence or unsupported recording; `on` keeps trying per trial;
-//    `off` is today's from-scratch path, bit for bit.
+//  * SnapshotMode — the --snapshots off|auto knob. `auto` (default)
+//    replays recorded prefixes and reruns a trial from scratch when its
+//    replay diverges; `off` runs every trial from scratch.
 //
-//  * SnapshotCache — one per campaign: builds the fault-free recording
-//    lazily (once), derives one WorldSnapshot per injected (site,
-//    invocation) — shared by every trial of that point and by the whole
-//    semantic-equivalence class behind it — and bounds memory with an
-//    LRU over the per-cut snapshots plus the recording itself
-//    (--snapshot-cache-mb).
+//  * SnapshotCache — one table of replay cuts per campaign, keyed by
+//    (site, invocation). Campaign::measure_impl fills it before any trial
+//    of a batch starts: the first batch with a replayable point builds
+//    the fault-free recording, and every batch derives the cuts its
+//    points need. Trials then only read the table, without a lock.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -29,86 +25,62 @@
 
 namespace fastfit::core {
 
-enum class SnapshotMode : std::uint8_t { Off, On, Auto };
+enum class SnapshotMode : std::uint8_t { Off, Auto };
 
-/// Parses "off" / "on" / "auto" (throws ConfigError otherwise).
+/// Parses "off" / "auto" (throws ConfigError otherwise).
 SnapshotMode parse_snapshot_mode(const std::string& text);
 const char* to_string(SnapshotMode mode) noexcept;
 
-/// Per-campaign snapshot store. Thread-safe: measure_many worker threads
-/// look up concurrently; one mutex serializes the cache (the recording
-/// build runs under it, so exactly one trial pays for it).
+/// The per-campaign table of replay cuts. add_cut() writes it and must not
+/// run concurrently with anything else on the table; Campaign calls it only
+/// before a batch's trials start, and refuses overlapping measures. find()
+/// and note_fallback() are safe from any number of trial threads at once.
 class SnapshotCache {
  public:
   using RecordingBuilder =
       std::function<std::shared_ptr<const mpi::WorldRecording>()>;
 
-  explicit SnapshotCache(std::size_t budget_bytes);
+  /// `build` runs the fault-free recording run; nullptr means it failed.
+  explicit SnapshotCache(RecordingBuilder build) : build_(std::move(build)) {}
 
-  /// The snapshot for the collective at (site_id, invocation), deriving
-  /// it (and, first time through, the recording via `build`) on demand.
-  /// Returns nullptr when the subsystem is disabled, the recording is
-  /// not replayable, or the cut is invalid for this point — the caller
-  /// runs the trial from scratch. A failed recording build is memoized:
-  /// it is deterministic, so it is attempted exactly once.
-  std::shared_ptr<const mpi::WorldSnapshot> lookup(
-      std::uint32_t site_id, std::uint64_t invocation,
-      const RecordingBuilder& build);
+  /// Derives and stores the cut for (site_id, invocation) unless the table
+  /// already has it. The first call builds the recording; a recording that
+  /// fails or is not replayable is not retried, and the table then stays
+  /// empty. A cut that cannot be derived (WorldSnapshot::build returns
+  /// nullptr) is stored as a null entry.
+  void add_cut(std::uint32_t site_id, std::uint64_t invocation);
 
-  /// Pre-derives the recording and the cut for (site_id, invocation)
-  /// without handing out a snapshot. The process-isolation backend warms
-  /// the cache in the supervisor before forking its workers, so every
-  /// child inherits the recording and cuts instead of re-paying for
-  /// them. Returns true when a snapshot would be available.
-  bool warm(std::uint32_t site_id, std::uint64_t invocation,
-            const RecordingBuilder& build);
-
-  /// Permanently turns the subsystem off (mode `auto` after a replay
-  /// divergence) and releases the recording and all snapshots.
-  void disable(const std::string& why);
-  bool disabled() const;
-  std::string disabled_reason() const;
+  /// The cut for (site_id, invocation), or nullptr when it is null or was
+  /// never added; the caller then runs the trial from scratch. Counts a
+  /// clone for every cut it hands out.
+  std::shared_ptr<const mpi::WorldSnapshot> find(std::uint32_t site_id,
+                                                 std::uint64_t invocation);
 
   /// Counts one replay divergence that fell back to a from-scratch run.
   void note_fallback();
 
   struct Stats {
-    std::uint64_t recording_builds = 0;  ///< 0 or 1 per campaign
-    std::uint64_t snapshot_builds = 0;   ///< distinct cuts derived
-    std::uint64_t hits = 0;              ///< lookups served from cache
-    std::uint64_t clones = 0;            ///< lookups that handed out a snapshot
-    std::uint64_t evictions = 0;         ///< snapshots dropped by the LRU
-    std::uint64_t fallbacks = 0;         ///< replay divergences (note_fallback)
-    std::size_t recording_bytes = 0;     ///< recording payload (post-dedup)
-    std::size_t cached_bytes = 0;        ///< recording + live snapshots
+    std::uint64_t recording_builds = 0;  ///< recordings kept: 0 or 1
+    std::uint64_t snapshot_builds = 0;   ///< cuts derived, null ones included
+    /// Clones beyond the first of each valid cut: the trials that reused a
+    /// cut another trial had already cloned.
+    std::uint64_t hits = 0;
+    std::uint64_t clones = 0;     ///< trials handed a cut by find()
+    std::uint64_t fallbacks = 0;  ///< replays that diverged and reran
+    std::size_t recording_bytes = 0;  ///< recording payload (post-dedup)
   };
   Stats stats() const;
 
  private:
   using Key = std::pair<std::uint32_t, std::uint64_t>;
 
-  void evict_to_fit_locked();
-
-  mutable std::mutex mutex_;
-  std::size_t budget_bytes_;
-  bool disabled_ = false;
-  std::string disabled_why_;
+  RecordingBuilder build_;
   bool recording_attempted_ = false;
   std::shared_ptr<const mpi::WorldRecording> recording_;
-
-  // LRU over derived snapshots: most recent key at the front.
-  std::list<Key> order_;
-  struct Entry {
-    std::shared_ptr<const mpi::WorldSnapshot> snapshot;
-    std::list<Key>::iterator where;
-  };
-  std::map<Key, Entry> entries_;
-  /// Cuts that failed to derive (e.g. p2p sites): memoized so every
-  /// trial of such a point does not redo the O(total ops) scan.
-  std::set<Key> invalid_;
-  std::size_t snapshot_bytes_ = 0;
-
-  Stats stats_;
+  std::map<Key, std::shared_ptr<const mpi::WorldSnapshot>> cuts_;
+  std::uint64_t valid_cuts_ = 0;
+  std::atomic<std::uint64_t> clones_{0};
+  std::atomic<std::uint64_t> fallbacks_{0};
 };
 
 /// Empty: each campaign's profiling run is its one fault-free run, and

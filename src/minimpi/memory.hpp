@@ -51,7 +51,7 @@ class MemoryRegistry {
 /// memory substrate of world snapshots (minimpi/snapshot.hpp). Interning
 /// the same bytes twice returns the same chunk, so a recording whose
 /// collective outputs repeat across ranks or iterations is stored once;
-/// `unique_bytes` is what the snapshot cache charges against its budget.
+/// `unique_bytes` is the recording's reported payload size.
 /// Chunks are shared_ptrs: a "clone" of a snapshot copies nothing, and
 /// dirty data never exists — replay copies a chunk into the trial's own
 /// application buffer and every later write lands there. Unsynchronized:

@@ -257,12 +257,6 @@ std::shared_ptr<const WorldSnapshot> WorldSnapshot::build(
     }
   }
 
-  snapshot->approx_bytes =
-      snapshot->cut.size() * sizeof(std::size_t) +
-      snapshot->preseed.size() * sizeof(PreseedMessage);
-  for (const auto& pre : snapshot->preseed) {
-    if (pre.payload) snapshot->approx_bytes += pre.payload->size();
-  }
   snapshot->recording = std::move(recording);
   return snapshot;
 }

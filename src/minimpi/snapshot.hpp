@@ -24,11 +24,11 @@
 // everything after it run live through the unmodified transport.
 //
 // Replay is verified op-by-op against the recording; any divergence
-// raises ReplayError, which the campaign layer catches to fall back to
-// a from-scratch run. Workloads that use nonblocking receives or
+// raises ReplayError, which the campaign layer catches to rerun that
+// trial from scratch. Workloads that use nonblocking receives or
 // communicator construction mark the recording non-replayable (none of
-// the bundled workloads do), which makes the whole subsystem fall back
-// campaign-wide under `--snapshots auto`.
+// the bundled workloads do), and then every trial of the campaign runs
+// from scratch.
 
 #include <cstddef>
 #include <cstdint>
@@ -148,7 +148,6 @@ struct WorldSnapshot {
   std::shared_ptr<const WorldRecording> recording;
   std::vector<std::size_t> cut;  ///< [world rank] -> ops to replay
   std::vector<PreseedMessage> preseed;
-  std::size_t approx_bytes = 0;  ///< snapshot-private bytes (cut + preseed)
 
   /// Derives the snapshot for the collective at (site_id, invocation).
   /// Returns nullptr when the cut is invalid: the op is missing from some

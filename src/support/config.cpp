@@ -55,10 +55,8 @@ constexpr ConfigKnob kKnobs[] = {
      "ULFM-style shrink-and-continue after rank death (default off)"},
     {"FASTFIT_ISOLATION", "isolation", "thread|process",
      "trial backend: in-process threads or fork-server workers"},
-    {"FASTFIT_SNAPSHOTS", "snapshots", "on|off|auto",
+    {"FASTFIT_SNAPSHOTS", "snapshots", "off|auto",
      "prefix-replay world snapshots (default auto)"},
-    {"FASTFIT_SNAPSHOT_CACHE_MB", "snapshot-cache-mb", "MB",
-     "LRU budget for the snapshot recording and cuts"},
     {"FASTFIT_TRACE", "trace-out", "FILE",
      "Chrome trace-event JSON of the trial lifecycle"},
     {"FASTFIT_METRICS", "metrics-out", "FILE",
@@ -134,18 +132,15 @@ InjectionConfig InjectionConfig::from_map(
       }
       cfg.isolation = value;
     } else if (key == "FASTFIT_SNAPSHOTS") {
-      if (value != "on" && value != "off" && value != "auto") {
+      if (value != "off" && value != "auto") {
         throw ConfigError(
-            "FASTFIT_SNAPSHOTS: must be one of on|off|auto, got '" + value +
-            "'");
+            "FASTFIT_SNAPSHOTS: must be one of off|auto, got '" + value +
+            "'" +
+            (value == "on" ? " ('on' was removed: 'auto' reruns a diverged "
+                             "trial from scratch)"
+                           : ""));
       }
       cfg.snapshots = value;
-    } else if (key == "FASTFIT_SNAPSHOT_CACHE_MB") {
-      // 1 TiB ceiling: anything larger is a typo, not a budget.
-      cfg.snapshot_cache_mb = parse_u64(key, value, 1'048'576);
-      if (cfg.snapshot_cache_mb == 0) {
-        throw ConfigError("FASTFIT_SNAPSHOT_CACHE_MB: must be >= 1");
-      }
     } else {
       throw ConfigError("unknown configuration key: " + key);
     }
@@ -188,9 +183,6 @@ std::map<std::string, std::string> InjectionConfig::to_map() const {
   if (repair) kv["FASTFIT_REPAIR"] = "1";
   if (isolation != "thread") kv["FASTFIT_ISOLATION"] = isolation;
   if (snapshots != "auto") kv["FASTFIT_SNAPSHOTS"] = snapshots;
-  if (snapshot_cache_mb != 256) {
-    kv["FASTFIT_SNAPSHOT_CACHE_MB"] = std::to_string(snapshot_cache_mb);
-  }
   return kv;
 }
 

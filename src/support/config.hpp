@@ -90,13 +90,10 @@ struct InjectionConfig {
   /// signals become classifiable as SEG_FAULT). Kept as validated text
   /// here; the mode enum lives in core/procpool.hpp.
   std::string isolation = "thread";
-  /// Prefix-replay world snapshots (FASTFIT_SNAPSHOTS): "on", "off", or
-  /// "auto" (default). Kept as validated text here; the mode enum lives
-  /// in core/snapshot_cache.hpp.
+  /// Prefix-replay world snapshots (FASTFIT_SNAPSHOTS): "off" or "auto"
+  /// (default). Kept as validated text here; the mode enum lives in
+  /// core/snapshot_cache.hpp.
   std::string snapshots = "auto";
-  /// LRU budget in MiB for the snapshot recording plus derived cuts
-  /// (FASTFIT_SNAPSHOT_CACHE_MB); must be >= 1.
-  std::uint64_t snapshot_cache_mb = 256;
 
   /// True when any telemetry sink is requested (trace, metrics, or the
   /// live progress line) and the recorder must therefore be enabled.

@@ -208,6 +208,10 @@ TEST(Campaign, SetMaxParallelTrialsThrowsWhileMeasuring) {
   }
   // The documented race: resizing the pool mid-measure. Now an error.
   EXPECT_THROW(campaign.set_max_parallel_trials(4), InternalError);
+  // A second measure would race with the first on the cut table.
+  EXPECT_THROW(campaign.measure(campaign.enumeration().points[0], 1),
+               InternalError);
+  EXPECT_TRUE(campaign.measuring());
   workload.gate.store(true, std::memory_order_release);
   measurer.join();
 

@@ -2,7 +2,7 @@
 // axes must flow end to end — enumeration crosses points with the spec
 // list, rank-death trials classify RANK_DEAD (or REPAIRED under --repair),
 // outcomes stay bit-identical across serial/parallel executors, journal
-// resume, and snapshots on|off (non-replayable specs take the from-scratch
+// resume, and snapshots auto|off (non-replayable specs take the from-scratch
 // fallback), and the telemetry counters agree with the returned counts.
 
 #include <gtest/gtest.h>
@@ -148,10 +148,10 @@ TEST(FailStopCampaign, NonReplayableSpecsBypassSnapshotsWithParity) {
     off.snapshots = SnapshotMode::Off;
     const auto expected = run_points(*workload, off, 3);
 
-    auto on = off;
-    on.snapshots = SnapshotMode::On;
+    auto replay = off;
+    replay.snapshots = SnapshotMode::Auto;
     SnapshotCache::Stats stats;
-    const auto replayed = run_points(*workload, on, 3, &stats);
+    const auto replayed = run_points(*workload, replay, 3, &stats);
     expect_same_counts(expected, replayed, model);
     // The guard must have prevented every snapshot attempt: no clones,
     // no divergence-driven fallbacks.
@@ -162,7 +162,7 @@ TEST(FailStopCampaign, NonReplayableSpecsBypassSnapshotsWithParity) {
 
 TEST(FailStopCampaign, ProbabilisticTriggerIsDeterministicPerTrial) {
   // A per-call coin flip is still a pure function of (seed, point, trial):
-  // serial and pooled executions agree, as do snapshots off and on (the
+  // serial and pooled executions agree, as do snapshots off and auto (the
   // probabilistic trigger is non-replayable and takes the fallback).
   const auto workload = apps::make_workload("CG");
   CampaignOptions opts;
@@ -177,7 +177,7 @@ TEST(FailStopCampaign, ProbabilisticTriggerIsDeterministicPerTrial) {
 
   auto pooled = opts;
   pooled.max_parallel_trials = 4;
-  pooled.snapshots = SnapshotMode::On;
+  pooled.snapshots = SnapshotMode::Auto;
   SnapshotCache::Stats stats;
   expect_same_counts(expected, run_points(*workload, pooled, 3, &stats),
                      "prob trigger");

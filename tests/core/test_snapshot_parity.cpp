@@ -1,11 +1,12 @@
 // Snapshot parity: the prefix-replay fast path must be invisible in the
-// results. Every assertion here compares --snapshots on/auto against the
+// results. Every assertion here compares --snapshots auto against the
 // from-scratch off path — per-point outcome counts, journal resume, the
 // parallel executor — plus the determinism of the golden digest and step
 // budgets that every trial is classified and bounded against.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <span>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "apps/registry.hpp"
+#include "apps/workload.hpp"
 #include "core/campaign.hpp"
 #include "support/error.hpp"
 
@@ -65,7 +67,7 @@ TEST(SnapshotParity, ReplayMatchesFromScratchForEveryWorkload) {
         run_study(*workload, base_options(SnapshotMode::Off), 2);
     SnapshotCache::Stats stats;
     const auto on =
-        run_study(*workload, base_options(SnapshotMode::On), 2, &stats);
+        run_study(*workload, base_options(SnapshotMode::Auto), 2, &stats);
     expect_same_counts(off, on, name);
     // The fast path must actually have engaged: one recording, one
     // snapshot per distinct cut, trials served as clones.
@@ -131,6 +133,73 @@ TEST(SnapshotParity, ResumeFromJournalStaysBitIdentical) {
   expect_same_counts(expected, results, "LU resume");
 }
 
+// A workload whose first collective moves to another call site after the
+// first two runs. A campaign's profiling and recording runs are its first
+// two, so every later trial replays a prefix that no longer matches the
+// recording. Both sites reduce the same value, so the digest and every
+// outcome of the End-phase allreduce are the same either way.
+class ShiftingPrefixWorkload final : public apps::Workload {
+ public:
+  std::string name() const override { return "shifting-prefix"; }
+
+  std::uint64_t run_rank(apps::AppContext& ctx) const override {
+    auto& mpi = ctx.mpi;
+    const bool shifted =
+        rank_entries.fetch_add(1, std::memory_order_relaxed) >= 2 * mpi.size();
+    ctx.trace.set_phase(trace::ExecPhase::Compute);
+    trace::FunctionScope scope(ctx.trace, "kernel");
+    const double local = 1.0 + mpi.rank();
+    const double sum = shifted ? mpi.allreduce_value(local, mpi::kSum)
+                               : mpi.allreduce_value(local, mpi::kSum);
+    ctx.trace.set_phase(trace::ExecPhase::End);
+    const double check = mpi.allreduce_value(sum * local, mpi::kSum);
+    const double values[2] = {sum, check};
+    return apps::digest_doubles(values, 9);
+  }
+
+  mutable std::atomic<int> rank_entries{0};
+};
+
+TEST(SnapshotParity, DivergedReplayRerunsEachTrialFromScratch) {
+  // The from-scratch reference runs serially, so its first trial is the
+  // only one on the old site, and End-phase outcomes do not depend on it.
+  std::vector<PointResult> expected;
+  std::vector<InjectionPoint> end_points;
+  {
+    ShiftingPrefixWorkload workload;
+    auto opts = base_options(SnapshotMode::Off);
+    opts.nranks = 4;
+    Campaign campaign(workload, opts);
+    campaign.profile();
+    for (const auto& point : campaign.enumeration().points) {
+      if (point.phase == trace::ExecPhase::End) end_points.push_back(point);
+    }
+    ASSERT_FALSE(end_points.empty());
+    expected = campaign.measure_many(end_points, opts.trials_per_point);
+  }
+  for (const std::size_t pool : {1u, 4u}) {
+    ShiftingPrefixWorkload workload;
+    auto opts = base_options(SnapshotMode::Auto);
+    opts.nranks = 4;
+    opts.max_parallel_trials = pool;
+    Campaign campaign(workload, opts);
+    campaign.profile();
+    const auto replayed =
+        campaign.measure_many(end_points, opts.trials_per_point);
+    const std::string label = "pool " + std::to_string(pool);
+    expect_same_counts(expected, replayed, label);
+    const auto stats = campaign.snapshot_stats();
+    EXPECT_EQ(stats.recording_builds, 1u) << label;
+    // Every trial tried replay, diverged and reran from scratch: one
+    // divergence does not switch replay off for the rest of the campaign.
+    EXPECT_EQ(stats.clones, end_points.size() * opts.trials_per_point)
+        << label;
+    EXPECT_EQ(stats.fallbacks, stats.clones) << label;
+    EXPECT_TRUE(campaign.health().clean()) << label;
+    EXPECT_EQ(campaign.health().total_retries, 0u) << label;
+  }
+}
+
 TEST(SnapshotParity, GoldenRunIsMemoizedAcrossCampaigns) {
   // Every campaign's profiling run is its own fault-free run (the name
   // predates the removal of the golden-run memo). Two campaigns over one
@@ -152,13 +221,6 @@ TEST(SnapshotParity, GoldenRunIsMemoizedAcrossCampaigns) {
   Campaign third(*workload, other);
   third.profile();
   EXPECT_NE(third.golden_digest(), first.golden_digest());
-}
-
-TEST(SnapshotParity, CacheBudgetMustBePositive) {
-  const auto workload = apps::make_workload("LU");
-  auto opts = base_options(SnapshotMode::Auto);
-  opts.snapshot_cache_mb = 0;
-  EXPECT_THROW(Campaign c(*workload, opts), ConfigError);
 }
 
 }  // namespace

@@ -321,7 +321,6 @@ TEST(Config, KnobTableIsCompleteAndConsistent) {
       {"FASTFIT_PROGRESS", "1"},
       {"FASTFIT_METRICS_INTERVAL_MS", "100"},
       {"FASTFIT_SNAPSHOTS", "auto"},
-      {"FASTFIT_SNAPSHOT_CACHE_MB", "64"},
       {"FASTFIT_FAULT_MODELS", "single-bit-flip,rank-death"},
       {"FASTFIT_REPAIR", "1"},
       {"FASTFIT_ISOLATION", "process"},
@@ -362,21 +361,43 @@ TEST(Config, IsolationKnobValidates) {
 }
 
 TEST(Config, SnapshotKnobsValidate) {
-  const auto cfg = InjectionConfig::from_map(
-      {{"FASTFIT_SNAPSHOTS", "off"}, {"FASTFIT_SNAPSHOT_CACHE_MB", "64"}});
+  const auto cfg = InjectionConfig::from_map({{"FASTFIT_SNAPSHOTS", "off"}});
   EXPECT_EQ(cfg.snapshots, "off");
-  EXPECT_EQ(cfg.snapshot_cache_mb, 64u);
+  EXPECT_EQ(InjectionConfig::from_map({{"FASTFIT_SNAPSHOTS", "auto"}}).snapshots,
+            "auto");
   EXPECT_EQ(InjectionConfig{}.snapshots, "auto");
-  EXPECT_EQ(InjectionConfig{}.snapshot_cache_mb, 256u);
   EXPECT_THROW(InjectionConfig::from_map({{"FASTFIT_SNAPSHOTS", "maybe"}}),
                ConfigError);
-  EXPECT_THROW(
-      InjectionConfig::from_map({{"FASTFIT_SNAPSHOT_CACHE_MB", "0"}}),
-      ConfigError);
   // Non-default values round-trip through to_map; defaults are omitted.
   EXPECT_TRUE(cfg.to_map().count("FASTFIT_SNAPSHOTS"));
-  EXPECT_TRUE(cfg.to_map().count("FASTFIT_SNAPSHOT_CACHE_MB"));
   EXPECT_FALSE(InjectionConfig{}.to_map().count("FASTFIT_SNAPSHOTS"));
+}
+
+TEST(Config, RemovedSnapshotCacheKnobIsRejected) {
+  // The cut table holds one entry per injected (site, invocation) and has
+  // no budget, and a diverged replay always reruns its trial from
+  // scratch: the cache budget and the "on" mode fail loudly instead of
+  // being silently ignored.
+  try {
+    InjectionConfig::from_map({{"FASTFIT_SNAPSHOT_CACHE_MB", "64"}});
+    ADD_FAILURE() << "FASTFIT_SNAPSHOT_CACHE_MB was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("FASTFIT_SNAPSHOT_CACHE_MB"),
+              std::string::npos)
+        << e.what();
+  }
+  try {
+    InjectionConfig::from_map({{"FASTFIT_SNAPSHOTS", "on"}});
+    ADD_FAILURE() << "FASTFIT_SNAPSHOTS=on was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'on' was removed"),
+              std::string::npos)
+        << e.what();
+  }
+  for (const auto& knob : config_knobs()) {
+    EXPECT_STRNE(knob.env, "FASTFIT_SNAPSHOT_CACHE_MB");
+    EXPECT_STRNE(knob.flag, "snapshot-cache-mb");
+  }
 }
 
 TEST(Config, RemovedSnapshotRecordingKnobIsRejected) {

@@ -54,6 +54,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -192,14 +193,6 @@ struct Args {
   bool has(const std::string& key) const { return values.count(key) > 0; }
 };
 
-/// Validates --parallel-trials through the InjectionConfig parser (same
-/// rules as the FASTFIT_PARALLEL_TRIALS environment variable).
-std::size_t parse_parallel_trials(const std::string& value) {
-  const auto cfg =
-      InjectionConfig::from_map({{"FASTFIT_PARALLEL_TRIALS", value}});
-  return static_cast<std::size_t>(cfg.parallel_trials);
-}
-
 /// --repair on|off (also accepts the knob table's 0|1).
 bool parse_repair(const std::string& value) {
   if (value == "on" || value == "1") return true;
@@ -267,84 +260,71 @@ int cmd_profile(const std::string& workload_name, const Args& args) {
   return 0;
 }
 
+/// The study knobs as one InjectionConfig: the CLI's defaults, replaced by
+/// any knob variable that is set, replaced in turn by the knob's --flag.
+/// One parser (InjectionConfig::from_map) validates all three.
+InjectionConfig study_config(const Args& args) {
+  std::map<std::string, std::string> kv = {{"NUM_INJ", "12"},
+                                           {"FASTFIT_SEED", "258398418711"}};
+  for (const auto& knob : config_knobs()) {
+    if (const char* value = std::getenv(knob.env)) kv[knob.env] = value;
+    if (knob.flag[0] != '\0' && args.has(knob.flag)) {
+      kv[knob.env] = args.get(knob.flag, "");
+    }
+  }
+  if (args.has("trials")) kv["NUM_INJ"] = args.get("trials", "");
+  // --fault-model is the single-model spelling of --fault-models.
+  if (args.has("fault-model") && !args.has("fault-models")) {
+    kv["FASTFIT_FAULT_MODELS"] = args.get("fault-model", "");
+  }
+  if (args.has("repair")) {
+    kv["FASTFIT_REPAIR"] = parse_repair(args.get("repair", "")) ? "1" : "0";
+  }
+  return InjectionConfig::from_map(kv);
+}
+
 int cmd_study(const std::string& workload_name, const Args& args) {
   const auto workload = apps::make_workload(workload_name);
+  const auto cfg = study_config(args);
+  if (cfg.num_inj > std::numeric_limits<std::uint32_t>::max()) {
+    throw ConfigError("--trials: " + std::to_string(cfg.num_inj) +
+                      " exceeds the per-point trial limit");
+  }
   core::FastFitOptions options;
   options.campaign.nranks = std::atoi(args.get("ranks", "16").c_str());
   options.campaign.trials_per_point =
-      static_cast<std::uint32_t>(std::atoi(args.get("trials", "12").c_str()));
-  options.campaign.seed =
-      std::strtoull(args.get("seed", "258398418711").c_str(), nullptr, 10);
+      static_cast<std::uint32_t>(cfg.num_inj);
+  options.campaign.seed = cfg.seed;
+  options.campaign.max_parallel_trials =
+      static_cast<std::size_t>(cfg.parallel_trials);
   options.use_ml = !args.has("no-ml");
   options.ml.accuracy_threshold =
       std::atof(args.get("threshold", "0.65").c_str());
-  if (args.has("parallel-trials")) {
-    options.campaign.max_parallel_trials =
-        parse_parallel_trials(args.get("parallel-trials", "0"));
-  }
 
-  // Resilience knobs: flags override the FASTFIT_* environment (both are
-  // validated by the InjectionConfig parser, so limits match).
-  const auto env = InjectionConfig::from_environment();
-
-  // Fault-model axis: --fault-models takes a comma-separated spec list;
-  // --fault-model remains as the single-model spelling. Empty = the
-  // default exact-point single bit flip (pre-v2 behaviour, byte for
-  // byte).
-  std::string fault_models = env.fault_models;
-  if (args.has("fault-model")) fault_models = args.get("fault-model", "");
-  if (args.has("fault-models")) fault_models = args.get("fault-models", "");
-  if (!fault_models.empty()) {
-    options.campaign.fault_models = inject::parse_fault_models(fault_models);
+  // Fault-model axis: empty = the default exact-point single bit flip
+  // (pre-v2 behaviour, byte for byte).
+  if (!cfg.fault_models.empty()) {
+    options.campaign.fault_models =
+        inject::parse_fault_models(cfg.fault_models);
   }
-  options.campaign.repair = env.repair;
-  if (args.has("repair")) {
-    options.campaign.repair = parse_repair(args.get("repair", "off"));
-  }
-
+  options.campaign.repair = cfg.repair;
   // Trial isolation backend: thread (default, in-process) or process
   // (fork-server workers — required for the real-signal fault models,
   // which Campaign enforces at construction).
-  std::string isolation = env.isolation;
-  if (args.has("isolation")) {
-    isolation = InjectionConfig::from_map(
-                    {{"FASTFIT_ISOLATION", args.get("isolation", "thread")}})
-                    .isolation;
-  }
-  options.campaign.isolation = core::parse_isolation_mode(isolation);
+  options.campaign.isolation = core::parse_isolation_mode(cfg.isolation);
+  options.campaign.snapshots = core::parse_snapshot_mode(cfg.snapshots);
 
-  options.journal = env.journal;
+  options.journal = cfg.journal;
   options.campaign.max_trial_retries =
-      static_cast<std::uint32_t>(env.max_trial_retries);
-  if (args.has("journal")) options.journal = args.get("journal", "");
-  if (args.has("max-trial-retries")) {
-    options.campaign.max_trial_retries = static_cast<std::uint32_t>(
-        InjectionConfig::from_map({{"FASTFIT_MAX_TRIAL_RETRIES",
-                                    args.get("max-trial-retries", "2")}})
-            .max_trial_retries);
-  }
+      static_cast<std::uint32_t>(cfg.max_trial_retries);
   options.resume = args.has("resume");
   if (options.resume && options.journal.empty()) {
     throw ConfigError("--resume requires --journal (or FASTFIT_JOURNAL)");
   }
 
-  // Prefix-replay snapshots: the mode knob and the LRU budget.
-  std::string snapshots = env.snapshots;
-  if (args.has("snapshots")) snapshots = args.get("snapshots", "auto");
-  options.campaign.snapshots = core::parse_snapshot_mode(snapshots);
-  options.campaign.snapshot_cache_mb = env.snapshot_cache_mb;
-  if (args.has("snapshot-cache-mb")) {
-    options.campaign.snapshot_cache_mb =
-        InjectionConfig::from_map({{"FASTFIT_SNAPSHOT_CACHE_MB",
-                                    args.get("snapshot-cache-mb", "256")}})
-            .snapshot_cache_mb;
-  }
-
   // Pipeline selection: the pruning chain and the deterministic shard.
-  options.passes = resolve_passes(args, env);
-  std::string shard = env.shard;
-  if (args.has("shard")) shard = args.get("shard", "");
-  if (!shard.empty()) options.campaign.shard = core::parse_shard(shard);
+  if (!cfg.passes.empty()) options.passes = core::parse_pass_list(cfg.passes);
+  if (!cfg.shard.empty()) options.campaign.shard = core::parse_shard(cfg.shard);
   if (options.campaign.shard.sharded() && options.use_ml &&
       options.passes.empty()) {
     // A sharded study needs a static point set; rather than erroring on
@@ -356,36 +336,23 @@ int cmd_study(const std::string& workload_name, const Args& args) {
     options.use_ml = false;
   }
 
-  // Telemetry sinks: flags override the FASTFIT_* environment; any sink
-  // enables the recorder (it is off — and free — otherwise).
-  std::string trace_out = env.trace_out;
-  std::string metrics_out = env.metrics_out;
-  bool progress = env.progress;
-  std::uint64_t metrics_interval_ms = env.metrics_interval_ms;
-  if (args.has("trace-out")) trace_out = args.get("trace-out", "");
-  if (args.has("metrics-out")) metrics_out = args.get("metrics-out", "");
-  if (args.has("progress")) progress = true;
-  if (args.has("metrics-interval-ms")) {
-    metrics_interval_ms =
-        InjectionConfig::from_map(
-            {{"FASTFIT_METRICS_INTERVAL_MS",
-              args.get("metrics-interval-ms", "0")}})
-            .metrics_interval_ms;
-  }
-  const bool telemetry_on =
-      !trace_out.empty() || !metrics_out.empty() || progress;
+  // Telemetry sinks: any sink enables the recorder (it is off — and free —
+  // otherwise).
+  const std::string& trace_out = cfg.trace_out;
+  const std::string& metrics_out = cfg.metrics_out;
+  const bool telemetry_on = cfg.telemetry_requested();
   auto& recorder = telemetry::Recorder::instance();
   std::unique_ptr<telemetry::ProgressMeter> meter;
   if (telemetry_on) {
     recorder.enable();
     telemetry::Recorder::bind_thread(telemetry::Track::Main, -1,
                                      "campaign-main");
-    if (progress || (metrics_interval_ms > 0 && !metrics_out.empty())) {
+    if (cfg.progress || (cfg.metrics_interval_ms > 0 && !metrics_out.empty())) {
       telemetry::ProgressMeter::Options meter_opts;
-      meter_opts.live_line = progress;
+      meter_opts.live_line = cfg.progress;
       meter_opts.metrics_path = metrics_out;
       meter_opts.metrics_interval =
-          std::chrono::milliseconds(metrics_interval_ms);
+          std::chrono::milliseconds(cfg.metrics_interval_ms);
       meter = std::make_unique<telemetry::ProgressMeter>(meter_opts);
     }
   }
