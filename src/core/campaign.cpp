@@ -559,8 +559,8 @@ std::vector<PointResult> Campaign::measure_impl(
     ~PoolGuard() { slot.store(nullptr, std::memory_order_release); }
   } pool_guard{active_pool_};
 
-  // The scheduler owns the (point, trial) job matrix — replay, concurrent
-  // execution, deterministic aggregation. Campaign contributes the engine
+  // The scheduler owns the (point, trial) slot table — replay, concurrent
+  // execution, ordered commit. Campaign contributes the engine
   // (TrialRunner) and the observers: the report accumulator, the metrics
   // sink, and (when attached) the journal write-through.
   SchedulerConfig scheduler_config;

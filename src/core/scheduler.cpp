@@ -2,7 +2,7 @@
 
 #include <array>
 #include <atomic>
-#include <deque>
+#include <condition_variable>
 #include <limits>
 #include <mutex>
 
@@ -16,13 +16,17 @@ namespace tel = fastfit::telemetry;
 
 namespace {
 
-// Outcome-slot sentinels for the (point, trial) matrix.
-constexpr int kPending = -1;  ///< not yet executed
-constexpr int kSkipped = -2;  ///< abandoned after the point quarantined
-
 // "No trial of this point has failed" marker for the per-point CAS-min.
 constexpr std::uint32_t kNoFailure =
     std::numeric_limits<std::uint32_t>::max();
+
+// One (point, trial) job of a batch. A replayed slot is final from the
+// start; a fresh one once its job has written `attempt` and set `done`.
+struct Slot {
+  TrialRunner::Attempt attempt;
+  bool replayed = false;  ///< outcome served from the journal
+  bool done = false;      ///< attempt final, or its job threw
+};
 
 }  // namespace
 
@@ -75,7 +79,7 @@ void TelemetrySink::on_trial(const TrialRecord& record) {
   // registers only the six base outcomes (pre-v2 metrics snapshot,
   // byte-identical) and a later extended campaign in the same process
   // fills in the remaining slots. on_trial runs on the scheduler's
-  // aggregation thread only, so the unguarded slot check is safe.
+  // commit thread only, so the unguarded slot check is safe.
   static std::array<tel::Counter*, inject::kNumOutcomes> counters{};
   const std::size_t active = inject::active_outcomes(extended_outcomes_);
   for (std::size_t o = 0; o < active; ++o) {
@@ -111,193 +115,165 @@ BatchStats TrialScheduler::run(std::span<const InjectionPoint> points,
                                const TrialJournal* replay,
                                std::span<OutcomeSink* const> sinks) {
   BatchStats stats;
-
-  // One outcome slot per (point, trial) job; aggregated afterwards in
-  // trial order so the fan-out is byte-for-byte the serial one.
-  std::vector<std::vector<int>> outcomes(points.size(),
-                                         std::vector<int>(trials, kPending));
-  std::vector<std::vector<std::uint8_t>> replayed(
-      points.size(), std::vector<std::uint8_t>(trials, 0));
-  // Forensics per (point, trial): whether an INF_LOOP was proven a
-  // deadlock at quiescence, and the world autopsy carried into the
-  // journal and point stats.
-  std::vector<std::vector<std::uint8_t>> deterministic(
-      points.size(), std::vector<std::uint8_t>(trials, 0));
-  std::vector<std::vector<std::string>> autopsies(
-      points.size(), std::vector<std::string>(trials));
-
-  // Per-point supervision state. deque: stable addresses, no moves — the
-  // elements hold atomics. `first_failed` is the *minimum* failed trial
-  // ordinal (CAS-min): under pool > 1 the first trial to fail in
-  // wall-clock time is not necessarily the first in trial order, and
-  // every per-point aggregate (which trials count, whose error message
-  // survives, how many retries) must be derived from the trial-order
-  // minimum — never from arrival order — to stay bit-identical to the
-  // serial run. Everything else is recorded per (point, trial) slot.
-  struct PointState {
-    std::atomic<std::uint32_t> first_failed{kNoFailure};
-  };
-  std::deque<PointState> state(points.size());
-  std::vector<std::vector<std::uint32_t>> trial_retries(
-      points.size(), std::vector<std::uint32_t>(trials, 0));
-  std::vector<std::vector<std::string>> errors(
-      points.size(), std::vector<std::string>(trials));
-  std::vector<std::vector<std::uint8_t>> failed(
-      points.size(), std::vector<std::uint8_t>(trials, 0));
-
   std::vector<std::string> keys(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     keys[i] = point_key(points[i]);
   }
 
-  // Phase 0: replay journaled outcomes; only the gaps execute.
+  // One slot per (point, trial) job, in (point, trial) order. Journaled
+  // outcomes are final from the start; only the gaps execute.
+  std::vector<Slot> slots(points.size() * trials);
+  const auto slot_of = [&slots, trials](std::size_t i, std::uint32_t t)
+      -> Slot& { return slots[i * trials + t]; };
   if (replay) {
     for (std::size_t i = 0; i < points.size(); ++i) {
       for (std::uint32_t t = 0; t < trials; ++t) {
         if (const auto o = replay->lookup(keys[i], t)) {
-          outcomes[i][t] = static_cast<int>(*o);
-          replayed[i][t] = 1;
+          Slot& slot = slot_of(i, t);
+          slot.attempt.ok = true;
+          slot.attempt.outcome = *o;
+          slot.replayed = slot.done = true;
           ++stats.replayed;
         }
       }
     }
   }
 
-  // One fresh guarded trial, writing only into slot (i, t). Shared by
-  // the pool jobs and by the post-wait repair pass, so the two paths
-  // cannot drift.
-  const auto run_fresh = [this, &outcomes, &state, &points, &keys,
-                          &deterministic, &autopsies, &trial_retries,
-                          &errors, &failed](std::size_t i, std::uint32_t t,
-                                            std::int64_t submit_us) {
-    auto& rec = tel::Recorder::instance();
-    if (submit_us >= 0 && rec.enabled()) {
-      const auto info = tel::Recorder::thread_info();
-      tel::Event wait;
-      wait.name = "queue-wait";
-      wait.start_us = submit_us;
-      wait.dur_us = rec.now_us() - submit_us;
-      wait.track = info.track;
-      wait.index = info.index;
-      rec.record(std::move(wait));
-    }
-    tel::ScopedSpan trial_span("trial");
-    trial_span.arg("point", keys[i]);
-    trial_span.arg("trial", std::to_string(t));
-    const auto attempt = runner_->run_guarded(points[i], t);
-    trial_retries[i][t] = attempt.retries;
-    if (!attempt.ok) {
-      errors[i][t] = attempt.error;
-      failed[i][t] = 1;
-      // CAS-min: remember the lowest failed ordinal, not the first to
-      // arrive.
-      auto& first = state[i].first_failed;
-      std::uint32_t seen = first.load(std::memory_order_relaxed);
-      while (t < seen && !first.compare_exchange_weak(
-                             seen, t, std::memory_order_acq_rel)) {
+  // Lowest failed trial ordinal per point (CAS-min), read by the jobs to
+  // skip trials the serial run would never have executed. Under pool > 1
+  // the first trial to fail in wall-clock time is not necessarily the
+  // first in trial order, so only the minimum may gate a skip.
+  std::vector<std::atomic<std::uint32_t>> first_failed(points.size());
+  for (auto& f : first_failed) f.store(kNoFailure, std::memory_order_relaxed);
+
+  // Slot::done and `aborted` are guarded by `mutex`; a job publishes its
+  // slot's attempt by setting done under it.
+  std::mutex mutex;
+  std::condition_variable finished;
+  bool aborted = false;  // a job threw; executor.wait() rethrows it
+
+  const auto run_job = [this, &points, &keys, &first_failed, &slot_of,
+                        &mutex, &finished, &aborted](std::size_t i,
+                                                     std::uint32_t t,
+                                                     std::int64_t submit_us) {
+    Slot& slot = slot_of(i, t);
+    const auto finish = [&](bool threw) {
+      {
+        std::lock_guard lock(mutex);
+        slot.done = true;
+        aborted = aborted || threw;
       }
-      outcomes[i][t] = kSkipped;
-      return;
+      finished.notify_one();
+    };
+    try {
+      // Skip only trials *beyond* a known failure: those are the ones
+      // the serial run would never have executed, and the failure
+      // ordinal only ever goes down, so the cursor never reads them.
+      if (first_failed[i].load(std::memory_order_acquire) >= t) {
+        auto& rec = tel::Recorder::instance();
+        if (submit_us >= 0 && rec.enabled()) {
+          const auto info = tel::Recorder::thread_info();
+          tel::Event wait;
+          wait.name = "queue-wait";
+          wait.start_us = submit_us;
+          wait.dur_us = rec.now_us() - submit_us;
+          wait.track = info.track;
+          wait.index = info.index;
+          rec.record(std::move(wait));
+        }
+        tel::ScopedSpan trial_span("trial");
+        trial_span.arg("point", keys[i]);
+        trial_span.arg("trial", std::to_string(t));
+        slot.attempt = runner_->run_guarded(points[i], t);
+        if (slot.attempt.ok) {
+          trial_span.arg("outcome", inject::to_string(slot.attempt.outcome));
+        } else {
+          auto& first = first_failed[i];
+          std::uint32_t seen = first.load(std::memory_order_relaxed);
+          while (t < seen && !first.compare_exchange_weak(
+                                 seen, t, std::memory_order_acq_rel)) {
+          }
+        }
+      }
+    } catch (...) {
+      finish(/*threw=*/true);
+      throw;
     }
-    trial_span.arg("outcome", inject::to_string(attempt.outcome));
-    if (attempt.outcome == inject::Outcome::InfLoop &&
-        attempt.deterministic_hang) {
-      deterministic[i][t] = 1;
-    }
-    autopsies[i][t] = attempt.autopsy;
-    outcomes[i][t] = static_cast<int>(attempt.outcome);
+    finish(/*threw=*/false);
   };
 
-  // Phase 1: concurrent guarded execution of the missing trials.
+  // The commit cursor: walks the slots in (point, trial) order on this
+  // thread and hands each record to the sinks as soon as it and every
+  // record before it are final. Per point it stops at the first failed
+  // ordinal (never waiting on a fresh slot beyond it: that is wasted
+  // work the serial run never did), still emits journal-replayed trials
+  // beyond it, sums the retries of the executed trials up to and
+  // including it, and ends with the point's PointStatus. With `block` it
+  // waits for each slot; without, it returns at the first unfinished one.
+  std::size_t point = 0;
+  std::uint32_t trial = 0;
+  std::uint32_t failed_at = kNoFailure;  // the cursor point's failure
+  std::uint32_t retries = 0;
+  const std::string no_error;
+  const auto advance = [&](bool block) {
+    while (point < points.size()) {
+      if (trial == trials) {
+        const bool quarantined = failed_at != kNoFailure;
+        PointStatus status{keys[point], point, retries, quarantined,
+                           quarantined ? slot_of(point, failed_at).attempt.error
+                                       : no_error};
+        if (quarantined) ++stats.quarantined_points;
+        for (auto* sink : sinks) sink->on_point(status);
+        ++point;
+        trial = 0;
+        failed_at = kNoFailure;
+        retries = 0;
+        continue;
+      }
+      const Slot& slot = slot_of(point, trial);
+      if (!slot.replayed) {
+        if (failed_at != kNoFailure) {  // beyond the failure: never emitted
+          ++trial;
+          continue;
+        }
+        std::unique_lock lock(mutex);
+        if (block) finished.wait(lock, [&] { return slot.done || aborted; });
+        if (aborted || !slot.done) return;
+      }
+      const auto& attempt = slot.attempt;
+      if (!slot.replayed) retries += attempt.retries;
+      if (!attempt.ok) {
+        failed_at = trial;
+      } else {
+        const bool deterministic =
+            !slot.replayed && attempt.deterministic_hang &&
+            attempt.outcome == inject::Outcome::InfLoop;
+        if (deterministic) ++stats.deterministic_deadlocks;
+        TrialRecord record{keys[point],     point,         trial,
+                           attempt.outcome, slot.replayed, deterministic,
+                           attempt.autopsy};
+        for (auto* sink : sinks) sink->on_trial(record);
+      }
+      ++trial;
+    }
+  };
+
   {
     TrialExecutor executor(config_.pool);
     for (std::size_t i = 0; i < points.size(); ++i) {
       for (std::uint32_t t = 0; t < trials; ++t) {
-        if (outcomes[i][t] != kPending) continue;
+        if (slot_of(i, t).replayed) continue;
         // Submission timestamp: the gap to execution start is the queue
         // wait, rendered as its own span on the executing worker's lane.
         auto& rec = tel::Recorder::instance();
         const std::int64_t submit_us = rec.enabled() ? rec.now_us() : -1;
-        executor.submit([&run_fresh, &state, &outcomes, submit_us, i, t] {
-          // Skip only trials *beyond* a known failure: those are the
-          // ones the serial run would never have executed. Trials below
-          // it must still run — the serial stream includes them.
-          if (state[i].first_failed.load(std::memory_order_acquire) < t) {
-            outcomes[i][t] = kSkipped;
-            return;
-          }
-          run_fresh(i, t, submit_us);
-        });
+        executor.submit(
+            [&run_job, submit_us, i, t] { run_job(i, t, submit_us); });
+        advance(/*block=*/false);  // the serial path commits as it goes
       }
     }
+    advance(/*block=*/true);
     executor.wait();
-  }
-
-  // Truncation/repair pass: rebuild the serial stream per point. Serial
-  // semantics are "trials execute in order until the first failure f;
-  // f's slot and everything after it are skipped". Under pool > 1, slots
-  // beyond f may have executed anyway (wasted work — discard them) and a
-  // slot at or below f may have been skipped against a failure ordinal
-  // that a later CAS-min then lowered — re-run those serially here.
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    std::uint32_t f = state[i].first_failed.load(std::memory_order_acquire);
-    for (std::uint32_t t = 0; t < trials && t < f; ++t) {
-      if (outcomes[i][t] == kSkipped && !failed[i][t] && !replayed[i][t]) {
-        run_fresh(i, t, -1);
-        f = state[i].first_failed.load(std::memory_order_acquire);
-      }
-    }
-    for (std::uint32_t t = f; t < trials; ++t) {
-      // Journal-replayed outcomes survive the truncation — the serial
-      // run never re-executes (or un-records) them either.
-      if (!replayed[i][t]) outcomes[i][t] = kSkipped;
-    }
-  }
-
-  // Proven-deadlock census for the health stats, taken *after*
-  // truncation so wasted beyond-failure executions do not count (the
-  // serial run never ran them).
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    for (std::uint32_t t = 0; t < trials; ++t) {
-      if (outcomes[i][t] >= 0 && !replayed[i][t] && deterministic[i][t]) {
-        ++stats.deterministic_deadlocks;
-      }
-    }
-  }
-
-  // Phase 2: fan out in deterministic (point, trial) order. Execution
-  // order above was free; observation order is pinned here, which is what
-  // keeps reports, journals, and counters bit-identical at every pool
-  // size.
-  const std::string no_error;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    for (std::uint32_t t = 0; t < trials; ++t) {
-      const int o = outcomes[i][t];
-      if (o < 0) continue;  // skipped after quarantine
-      TrialRecord record{keys[i],
-                         i,
-                         t,
-                         static_cast<inject::Outcome>(o),
-                         replayed[i][t] != 0,
-                         deterministic[i][t] != 0,
-                         autopsies[i][t]};
-      for (auto* sink : sinks) sink->on_trial(record);
-    }
-    // Point aggregates from the truncated stream: retries come from the
-    // trials the serial run would have executed (ordinals <= the first
-    // failure); the surviving error is the first failure's, never a later
-    // racer's.
-    const std::uint32_t f =
-        state[i].first_failed.load(std::memory_order_acquire);
-    const bool quarantined = f != kNoFailure;
-    std::uint32_t retry_total = 0;
-    for (std::uint32_t t = 0; t < trials && t <= f; ++t) {
-      retry_total += trial_retries[i][t];
-    }
-    PointStatus status{keys[i], i, retry_total, quarantined,
-                       quarantined ? errors[i][f] : no_error};
-    if (quarantined) ++stats.quarantined_points;
-    for (auto* sink : sinks) sink->on_point(status);
   }
   for (auto* sink : sinks) sink->on_batch_end();
   return stats;

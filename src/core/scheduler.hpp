@@ -2,11 +2,10 @@
 
 // TrialScheduler: the ordering/batching stage of the study pipeline.
 //
-// The scheduler owns the (point, trial) job matrix of one batch: journal
-// replay, concurrent guarded execution on a TrialExecutor pool, and the
-// final deterministic aggregation in (point, trial) order. It is
-// engine-agnostic — trials execute through the narrow TrialRunner
-// interface (implemented by Campaign, which
+// The scheduler owns one batch's table of (point, trial) slots: journal
+// replay, concurrent guarded execution on a TrialExecutor pool, and an
+// ordered commit. It is engine-agnostic — trials execute through the
+// narrow TrialRunner interface (implemented by Campaign, which
 // routes each run_guarded call either to an in-process world or to
 // the fork-server worker pool, per the --isolation knob; the scheduler
 // never knows which backend ran a trial) — and
@@ -14,10 +13,12 @@
 // observers (report accumulator, telemetry counters, journal
 // write-through), so the scheduler itself never knows what a report is.
 //
-// Aggregating in (point, trial) order after execution is what makes the
-// batch bit-identical to a serial run at every pool size: execution order
-// is free (per-trial RNG identity is order-independent), observation
-// order is not.
+// Execution order is free (per-trial RNG identity is order-independent);
+// observation order is not. A commit cursor on the scheduling thread
+// walks the slots in (point, trial) order and hands each record to the
+// sinks as soon as it and every record before it are final, so the
+// stream is bit-identical to a serial run at every pool size, and the
+// journal and counters grow while the batch runs.
 
 #include <cstdint>
 #include <span>
@@ -52,9 +53,9 @@ class TrialRunner {
                               std::uint64_t trial) = 0;
 };
 
-/// One recorded (point, trial) outcome, observed in deterministic
-/// (point, trial) order during aggregation. References stay valid only
-/// for the duration of the callback.
+/// One recorded (point, trial) outcome, committed in deterministic
+/// (point, trial) order. References stay valid only for the duration of
+/// the callback.
 struct TrialRecord {
   const std::string& key;   ///< stable point identity (point_key)
   std::size_t point_index;  ///< index into the batch's point span
@@ -77,9 +78,12 @@ struct PointStatus {
 
 /// Observer of a batch's outcomes. Implementations: ResultAccumulator
 /// (report), the campaign's telemetry sink, and the journal write-through
-/// sink. Callbacks arrive on the scheduling thread, in deterministic
-/// order: all trials of point 0, point 0's status, all trials of point 1,
-/// ... then one on_batch_end.
+/// sink. Callbacks arrive on the scheduling thread while the batch runs,
+/// each as soon as its record and every record before it are final, in
+/// deterministic order: all trials of point 0, point 0's status, all
+/// trials of point 1, ... then one on_batch_end once every job is done.
+/// A batch whose runner throws stops committing at the first unfinished
+/// slot and rethrows; it calls no on_batch_end.
 class OutcomeSink {
  public:
   virtual ~OutcomeSink() = default;
@@ -158,7 +162,8 @@ class TrialScheduler {
       : runner_(&runner), config_(config) {}
 
   /// Runs `trials` per point, replaying from `replay` (may be null) and
-  /// fanning every outcome out to `sinks` in deterministic order.
+  /// committing every outcome to `sinks` in deterministic order as soon
+  /// as it is final.
   BatchStats run(std::span<const InjectionPoint> points,
                  std::uint32_t trials, const TrialJournal* replay,
                  std::span<OutcomeSink* const> sinks);

@@ -34,10 +34,12 @@ std::uint64_t parse_u64(const std::string& key, const std::string& value,
 // here makes it visible in both places at once.
 constexpr ConfigKnob kKnobs[] = {
     {"NUM_INJ", "", "N", "trials per injection point (paper Table II)"},
-    {"INV_ID", "", "ID", "target invocation id (paper Table II)"},
-    {"CALL_ID", "", "ID", "target collective call-site id (paper Table II)"},
-    {"RANK_ID", "", "ID", "target rank id (paper Table II)"},
-    {"PARAM_ID", "", "ID", "target parameter id (paper Table II)"},
+    {"INV_ID", "", "ID",
+     "target invocation id (Table II; quickstart only, study refuses it)"},
+    {"RANK_ID", "", "ID",
+     "target rank id (Table II; quickstart only, study refuses it)"},
+    {"PARAM_ID", "", "ID",
+     "target parameter id (Table II; quickstart only, study refuses it)"},
     {"FASTFIT_SEED", "seed", "S", "campaign master seed"},
     {"FASTFIT_PARALLEL_TRIALS", "parallel-trials", "P",
      "max concurrent trials (0 = auto, 1 = serial)"},
@@ -80,10 +82,8 @@ InjectionConfig InjectionConfig::from_map(
                               std::numeric_limits<std::uint64_t>::max());
       if (cfg.num_inj == 0) throw ConfigError("NUM_INJ: must be positive");
     } else if (key == "INV_ID") {
-      // The paper allots 3 decimal digits to INV_ID and CALL_ID.
+      // The paper allots 3 decimal digits to INV_ID.
       cfg.inv_id = static_cast<std::uint32_t>(parse_u64(key, value, 999));
-    } else if (key == "CALL_ID") {
-      cfg.call_id = static_cast<std::uint32_t>(parse_u64(key, value, 999));
     } else if (key == "RANK_ID") {
       cfg.rank_id = static_cast<std::uint32_t>(
           parse_u64(key, value, std::numeric_limits<std::uint32_t>::max()));
@@ -160,7 +160,6 @@ std::map<std::string, std::string> InjectionConfig::to_map() const {
   std::map<std::string, std::string> kv;
   kv["NUM_INJ"] = std::to_string(num_inj);
   if (inv_id) kv["INV_ID"] = std::to_string(*inv_id);
-  if (call_id) kv["CALL_ID"] = std::to_string(*call_id);
   if (rank_id) kv["RANK_ID"] = std::to_string(*rank_id);
   if (param_id) kv["PARAM_ID"] = std::to_string(*param_id);
   kv["FASTFIT_SEED"] = std::to_string(seed);

@@ -9,7 +9,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -443,14 +448,18 @@ TEST(Resilience, DeterministicFlagAndAutopsyAreJournaled) {
 // successful attempt reports `trial % 2` retries, and exactly one chosen
 // (point, trial) fails permanently. A per-call jitter makes pool > 1
 // genuinely interleave so the failure races ahead of (and behind) its
-// siblings.
+// siblings. `on_run`, if set, is called first on every attempt (from the
+// executing thread), to observe or break the run.
 class ScriptedRunner final : public TrialRunner {
  public:
   ScriptedRunner(std::uint32_t fail_site, std::uint32_t fail_trial)
       : fail_site_(fail_site), fail_trial_(fail_trial) {}
 
+  std::function<void(std::uint32_t site, std::uint64_t trial)> on_run;
+
   Attempt run_guarded(const InjectionPoint& point,
                       std::uint64_t trial) override {
+    if (on_run) on_run(point.site_id, trial);
     std::this_thread::sleep_for(
         std::chrono::microseconds((point.site_id * 131 + trial * 37) % 400));
     Attempt attempt;
@@ -531,6 +540,148 @@ TEST(Resilience, SchedulerQuarantineIsPoolOrderIndependent) {
   EXPECT_NE(serial.find(quarantined_line), std::string::npos) << serial;
   for (int repeat = 0; repeat < 3; ++repeat) {
     EXPECT_EQ(run(8), serial) << "pool-8 repeat " << repeat;
+  }
+}
+
+// `n` synthetic points with distinct keys, scripted by site id = index.
+std::vector<InjectionPoint> synthetic_points(std::size_t n) {
+  std::vector<InjectionPoint> points(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    points[i].site_id = static_cast<std::uint32_t>(i);
+    points[i].kind = mpi::CollectiveKind::Bcast;
+    points[i].site_location = "synthetic:" + std::to_string(i);
+    points[i].rank = 0;
+    points[i].invocation = 1;
+    points[i].param = mpi::Param::SendBuf;
+  }
+  return points;
+}
+
+TEST(Resilience, SchedulerCommitsEachRecordBeforeTheNextTrialRuns) {
+  // The commit cursor hands a record to the sinks as soon as it and every
+  // record before it are final, not when the batch ends: at pool 1 each
+  // trial is committed before the runner is asked for the next one.
+  const auto points = synthetic_points(2);
+  std::string log;
+  ScriptedRunner runner(/*fail_site=*/99, /*fail_trial=*/0);
+  runner.on_run = [&log](std::uint32_t site, std::uint64_t trial) {
+    log += "run " + std::to_string(site) + "," + std::to_string(trial) + "\n";
+  };
+  struct LogSink final : OutcomeSink {
+    std::string* log;
+    void on_trial(const TrialRecord& record) override {
+      *log += "commit " + std::to_string(record.point_index) + "," +
+              std::to_string(record.trial) + "\n";
+    }
+    void on_point(const PointStatus& status) override {
+      *log += "point " + std::to_string(status.point_index) + "\n";
+    }
+    void on_batch_end() override { *log += "end\n"; }
+  } sink;
+  sink.log = &log;
+  OutcomeSink* sinks[] = {&sink};
+  TrialScheduler scheduler(runner, SchedulerConfig{});
+  scheduler.run(points, /*trials=*/2, nullptr, sinks);
+  EXPECT_EQ(log,
+            "run 0,0\ncommit 0,0\nrun 0,1\ncommit 0,1\npoint 0\n"
+            "run 1,0\ncommit 1,0\nrun 1,1\ncommit 1,1\npoint 1\nend\n");
+}
+
+TEST(Resilience, SchedulerJournalIsDurableWhileTheBatchRuns) {
+  // A one-batch study killed mid-run may lose only the journal's unsynced
+  // tail: by the time the runner is asked for batch ordinal
+  // kFlushBatch + 1, the first kFlushBatch trials are on disk.
+  const auto path = temp_journal("streaming");
+  auto journal = TrialJournal::create(path, JournalHeader{});
+  const auto points = synthetic_points(1);
+  constexpr auto kProbe = static_cast<std::uint32_t>(TrialJournal::kFlushBatch);
+  std::size_t trial_lines = 0;
+  ScriptedRunner runner(/*fail_site=*/99, /*fail_trial=*/0);
+  runner.on_run = [&](std::uint32_t, std::uint64_t trial) {
+    if (trial != kProbe) return;
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);  // the header
+    while (std::getline(in, line)) ++trial_lines;
+  };
+  JournalSink sink(*journal, points);
+  OutcomeSink* sinks[] = {&sink};
+  TrialScheduler scheduler(runner, SchedulerConfig{});
+  scheduler.run(points, kProbe + 8, nullptr, sinks);
+  EXPECT_GE(trial_lines, TrialJournal::kFlushBatch);
+}
+
+TEST(Resilience, SchedulerEmitsReplayedTrialsBeyondAFailure) {
+  // A point stops at its first failed ordinal, but journal-replayed
+  // trials beyond it are still emitted — the serial run never un-records
+  // them — and fresh trials beyond it are not, at every pool size.
+  const auto points = synthetic_points(6);
+  const std::uint32_t trials = 8;
+  const std::string key = point_key(points[3]);
+  auto journal =
+      TrialJournal::create(temp_journal("replay_beyond_failure"), {});
+  journal->record_trial(key, 4, inject::Outcome::InfLoop);
+  journal->record_trial(key, 6, inject::Outcome::WrongAns);
+  journal->record_trial(point_key(points[1]), 5, inject::Outcome::MpiErr);
+
+  const auto run = [&](std::size_t pool) {
+    ScriptedRunner runner(/*fail_site=*/3, /*fail_trial=*/2);
+    SchedulerConfig config;
+    config.pool = pool;
+    TrialScheduler scheduler(runner, config);
+    CaptureSink sink;
+    OutcomeSink* sinks[] = {&sink};
+    const auto stats = scheduler.run(points, trials, journal.get(), sinks);
+    EXPECT_EQ(stats.replayed, 3u);
+    EXPECT_EQ(stats.quarantined_points, 1u);
+    return sink.stream;
+  };
+
+  const auto serial = run(1);
+  const std::string replayed_tail = "T " + key + " #4 o5 R\nT " + key +
+                                    " #6 o4 R\nP " + key +
+                                    " retries=3 quarantined err=scripted "
+                                    "failure\n";
+  EXPECT_NE(serial.find(replayed_tail), std::string::npos) << serial;
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    EXPECT_EQ(run(8), serial) << "pool-8 repeat " << repeat;
+  }
+}
+
+TEST(Resilience, SchedulerRethrowsWhatTheRunnerThrows) {
+  // A runner that throws instead of reporting a failed Attempt makes
+  // run() rethrow at every pool size. The throwing job's slot is still
+  // marked final, so the commit cursor cannot wait on it forever; a hang
+  // fails here after a minute instead of at ctest's TIMEOUT.
+  const auto points = synthetic_points(4);
+  for (const std::size_t pool : {1, 4}) {
+    ScriptedRunner runner(/*fail_site=*/99, /*fail_trial=*/0);
+    runner.on_run = [](std::uint32_t site, std::uint64_t trial) {
+      if (site == 2 && trial == 1) throw std::runtime_error("runner bug");
+    };
+    SchedulerConfig config;
+    config.pool = pool;
+    TrialScheduler scheduler(runner, config);
+    CaptureSink sink;
+    OutcomeSink* sinks[] = {&sink};
+    auto batch = std::async(std::launch::async, [&] {
+      return scheduler.run(points, /*trials=*/4, nullptr, sinks);
+    });
+    if (batch.wait_for(60s) != std::future_status::ready) {
+      ADD_FAILURE() << "pool " << pool << ": run() hung after a throw";
+      std::abort();  // the hung batch cannot be joined
+    }
+    EXPECT_THROW(batch.get(), std::runtime_error) << "pool " << pool;
+    // Nothing at or beyond the throwing slot is committed.
+    EXPECT_EQ(sink.stream.find(point_key(points[2]) + " #1"),
+              std::string::npos);
+    EXPECT_EQ(sink.stream.find("P " + point_key(points[2])),
+              std::string::npos);
+    if (pool == 1) {
+      EXPECT_NE(sink.stream.find("P " + point_key(points[1])),
+                std::string::npos)
+          << sink.stream;
+    }
   }
 }
 

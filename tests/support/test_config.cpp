@@ -15,7 +15,6 @@ TEST(Config, Defaults) {
   const auto cfg = InjectionConfig::from_map({});
   EXPECT_EQ(cfg.num_inj, 100u);
   EXPECT_FALSE(cfg.inv_id.has_value());
-  EXPECT_FALSE(cfg.call_id.has_value());
   EXPECT_FALSE(cfg.rank_id.has_value());
   EXPECT_FALSE(cfg.param_id.has_value());
 }
@@ -23,13 +22,11 @@ TEST(Config, Defaults) {
 TEST(Config, ParsesAllTableTwoVariables) {
   const auto cfg = InjectionConfig::from_map({{"NUM_INJ", "250"},
                                               {"INV_ID", "17"},
-                                              {"CALL_ID", "3"},
                                               {"RANK_ID", "31"},
                                               {"PARAM_ID", "4"},
                                               {"FASTFIT_SEED", "99"}});
   EXPECT_EQ(cfg.num_inj, 250u);
   EXPECT_EQ(cfg.inv_id, 17u);
-  EXPECT_EQ(cfg.call_id, 3u);
   EXPECT_EQ(cfg.rank_id, 31u);
   EXPECT_EQ(cfg.param_id, 4);
   EXPECT_EQ(cfg.seed, 99u);
@@ -50,10 +47,12 @@ TEST(Config, RejectsZeroTrials) {
 }
 
 TEST(Config, EnforcesTableTwoFieldWidths) {
-  // The paper allots 3 decimal digits to INV_ID / CALL_ID and 1 to PARAM_ID.
+  // The paper allots 3 decimal digits to INV_ID and 1 to PARAM_ID.
   EXPECT_NO_THROW(InjectionConfig::from_map({{"INV_ID", "999"}}));
   EXPECT_THROW(InjectionConfig::from_map({{"INV_ID", "1000"}}), ConfigError);
-  EXPECT_THROW(InjectionConfig::from_map({{"CALL_ID", "1000"}}), ConfigError);
+  // CALL_ID is not a knob: a call site is named by its hashed site_id,
+  // which no 3-digit id can address.
+  EXPECT_THROW(InjectionConfig::from_map({{"CALL_ID", "7"}}), ConfigError);
   EXPECT_NO_THROW(InjectionConfig::from_map({{"PARAM_ID", "9"}}));
   EXPECT_THROW(InjectionConfig::from_map({{"PARAM_ID", "10"}}), ConfigError);
 }
@@ -65,10 +64,10 @@ TEST(Config, RejectsOverflow) {
 
 TEST(Config, RoundTripsThroughMap) {
   auto cfg = InjectionConfig::from_map(
-      {{"NUM_INJ", "50"}, {"CALL_ID", "7"}, {"PARAM_ID", "2"}});
+      {{"NUM_INJ", "50"}, {"RANK_ID", "7"}, {"PARAM_ID", "2"}});
   const auto cfg2 = InjectionConfig::from_map(cfg.to_map());
   EXPECT_EQ(cfg2.num_inj, 50u);
-  EXPECT_EQ(cfg2.call_id, 7u);
+  EXPECT_EQ(cfg2.rank_id, 7u);
   EXPECT_EQ(cfg2.param_id, 2);
   EXPECT_FALSE(cfg2.inv_id.has_value());
 }
@@ -307,7 +306,6 @@ TEST(Config, KnobTableIsCompleteAndConsistent) {
   const std::map<std::string, std::string> sample_values = {
       {"NUM_INJ", "10"},
       {"INV_ID", "1"},
-      {"CALL_ID", "1"},
       {"RANK_ID", "1"},
       {"PARAM_ID", "1"},
       {"FASTFIT_SEED", "1"},

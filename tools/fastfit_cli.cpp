@@ -60,6 +60,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/registry.hpp"
@@ -286,6 +287,20 @@ InjectionConfig study_config(const Args& args) {
 int cmd_study(const std::string& workload_name, const Args& args) {
   const auto workload = apps::make_workload(workload_name);
   const auto cfg = study_config(args);
+  // The Table II target ids pick the one hand-driven point of
+  // examples/quickstart; a study enumerates its own points, so a set id
+  // is refused rather than ignored.
+  const std::pair<const char*, bool> targets[] = {
+      {"INV_ID", cfg.inv_id.has_value()},
+      {"RANK_ID", cfg.rank_id.has_value()},
+      {"PARAM_ID", cfg.param_id.has_value()}};
+  for (const auto& [key, set] : targets) {
+    if (set) {
+      throw ConfigError(std::string(key) +
+                        ": selects a single point (examples/quickstart); "
+                        "fastfit study enumerates its own points");
+    }
+  }
   if (cfg.num_inj > std::numeric_limits<std::uint32_t>::max()) {
     throw ConfigError("--trials: " + std::to_string(cfg.num_inj) +
                       " exceeds the per-point trial limit");
