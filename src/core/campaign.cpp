@@ -107,7 +107,11 @@ Campaign::Campaign(const apps::Workload& workload, CampaignOptions options)
       options_.shard.index > options_.shard.count) {
     throw ConfigError("Campaign: shard must satisfy 1 <= index <= count");
   }
-  if (options_.snapshots != SnapshotMode::Off) {
+  // One prefix-skipping mechanism per isolation mode: thread-isolated
+  // trials replay a recorded prefix, process-isolated ones fork at the cut
+  // (a process with threads cannot fork, so replay stays in-process).
+  if (options_.snapshots != SnapshotMode::Off &&
+      options_.isolation == IsolationMode::Thread) {
     snapshot_cache_ =
         std::make_unique<SnapshotCache>([this] { return build_recording(); });
   }
@@ -316,7 +320,8 @@ inject::TrialForensics Campaign::run_trial(
 inject::TrialForensics Campaign::execute_trial(
     const InjectionPoint& point, std::uint64_t trial,
     const std::vector<std::uint64_t>& step_budget,
-    std::shared_ptr<const mpi::WorldSnapshot> snapshot) {
+    std::shared_ptr<const mpi::WorldSnapshot> snapshot,
+    inject::Injector::CutHook cut) {
   inject::FaultSpec spec;
   spec.site_id = point.site_id;
   spec.rank = point.rank;
@@ -326,6 +331,7 @@ inject::TrialForensics Campaign::execute_trial(
   spec.fault = point.fault;
 
   inject::Injector injector(spec, options_.seed);
+  injector.set_cut_hook(std::move(cut));
   mpi::WorldOptions opts;
   opts.nranks = options_.nranks;
   opts.seed = options_.seed;
@@ -502,8 +508,8 @@ std::vector<PointResult> Campaign::measure_impl(
   batch_span.arg("isolation", to_string(options_.isolation));
 
   // Complete the cut table before any trial starts: trials read it without
-  // a lock, and forked workers inherit it instead of rebuilding it. The
-  // recording is built on the first batch that has a replayable point.
+  // a lock. The recording is built on the first batch that has a
+  // replayable point. Process isolation has no table: it forks at the cut.
   if (snapshot_cache_) {
     for (const auto& point : points) {
       if (inject::is_replayable(point.fault)) {
@@ -526,9 +532,11 @@ std::vector<PointResult> Campaign::measure_impl(
     pool_options.child_init = [] { tel::Recorder::instance().disable(); };
     proc_pool = std::make_unique<ProcPool>(
         pool_options, [this](const procpool::WorkItem& item) {
-          // Runs inside the single-use trial child. Never throws: a
-          // contained failure travels back as TrialReply::error and
-          // re-enters the supervisor-side retry guard.
+          // Runs inside the trial process. Never throws: a contained
+          // failure travels back as TrialReply::error and re-enters the
+          // supervisor-side retry guard. Unless snapshots are off, the
+          // process forks at the cut, so trials of one point share the
+          // fault-free prefix run up to the injection.
           procpool::TrialReply reply;
           try {
             InjectionPoint point;
@@ -537,8 +545,11 @@ std::vector<PointResult> Campaign::measure_impl(
             point.invocation = item.invocation;
             point.param = static_cast<mpi::Param>(item.param);
             point.fault = item.fault;
-            const auto forensics =
-                run_trial(point, item.trial, item.step_budget);
+            const auto forensics = execute_trial(
+                point, item.trial, item.step_budget, nullptr,
+                options_.snapshots == SnapshotMode::Off
+                    ? inject::Injector::CutHook{}
+                    : procpool::hold_at_cut);
             reply.ok = true;
             reply.outcome = forensics.outcome;
             reply.deterministic_hang = forensics.deterministic_hang;

@@ -31,6 +31,7 @@
 #include "core/shard.hpp"
 #include "core/snapshot_cache.hpp"
 #include "inject/fault_spec.hpp"
+#include "inject/injector.hpp"
 #include "inject/outcome.hpp"
 #include "profile/profiler.hpp"
 
@@ -89,22 +90,25 @@ struct CampaignOptions {
   /// itself only pins the shard into the journal header; the study
   /// driver does the actual partitioning.
   ShardSpec shard;
-  /// Prefix-replay world snapshots (--snapshots, FASTFIT_SNAPSHOTS):
-  /// under `auto` (default), trials clone a recorded fault-free prefix and
-  /// execute only the post-injection suffix; a trial whose replay diverges
-  /// reruns from scratch. `off` runs every trial from scratch. Replay is
-  /// meant to change wall time only, but it does not yet on every
-  /// workload: some IS, CG and miniMD points count different outcomes
-  /// under `auto` than under `off` (docs/snapshot.md, "Parity").
+  /// Prefix skipping (--snapshots, FASTFIT_SNAPSHOTS). Under `auto`
+  /// (default) a trial executes only the post-injection suffix: a
+  /// thread-isolated trial clones a recorded fault-free prefix (a replay
+  /// that diverges reruns from scratch), and a process-isolated trial of
+  /// an exact-point fault is forked from the process that ran the prefix
+  /// live up to the cut (core/procpool.hpp). `off` runs every trial from
+  /// scratch. Skipping is meant to change wall time only. The fork does so
+  /// by construction; replay does not yet on every workload: some IS, CG
+  /// and miniMD points count different outcomes under `auto` than under
+  /// `off` (docs/snapshot.md, "Parity").
   SnapshotMode snapshots = SnapshotMode::Auto;
   /// Trial execution backend (--isolation, FASTFIT_ISOLATION). `Thread`
   /// (default) runs trials in-process on the executor's lane threads.
-  /// `Process` dispatches each trial to a fresh child of a per-lane
+  /// `Process` dispatches each trial to a child process of a per-lane
   /// fork-server (core/procpool.hpp): worker death by a real signal
   /// classifies SEG_FAULT instead of killing the campaign, and a worker
   /// that outlives its lease (a rank spinning without entering MiniMPI)
   /// is SIGKILLed; results for non-signal fault models stay
-  /// byte-identical to the in-process backend.
+  /// byte-identical to the in-process backend run from scratch.
   IsolationMode isolation = IsolationMode::Thread;
   /// Per-trial lease for process-isolated workers: past this deadline
   /// the whole lane process group is SIGKILLed and the trial re-enters
@@ -234,7 +238,7 @@ class Campaign : private TrialRunner {
   CampaignHealth health() const noexcept;
 
   /// Statistics of the prefix-replay snapshot subsystem (all zeros when
-  /// snapshots are off or never engaged).
+  /// snapshots are off, under process isolation, or never engaged).
   SnapshotCache::Stats snapshot_stats() const;
 
   std::uint64_t golden_digest() const;
@@ -267,7 +271,8 @@ class Campaign : private TrialRunner {
   std::unique_ptr<profile::Profiler> profiler_;
   Enumeration enumeration_;
   std::unique_ptr<TrialJournal> journal_;
-  /// Present unless snapshots == Off; owns the recording and the cut table.
+  /// Present under thread isolation unless snapshots == Off; owns the
+  /// recording and the cut table.
   std::unique_ptr<SnapshotCache> snapshot_cache_;
   std::atomic<std::uint64_t> trials_run_{0};
   std::atomic<std::uint64_t> total_retries_{0};
@@ -294,14 +299,16 @@ class Campaign : private TrialRunner {
       const InjectionPoint& point, std::uint64_t trial,
       const std::vector<std::uint64_t>& step_budget);
 
-  /// The world execution behind run_trial. With a snapshot, only the
-  /// post-injection suffix executes (prefix replayed from the recording);
-  /// may throw mpi::ReplayError, which run_trial converts into a
-  /// from-scratch fallback.
+  /// The world execution behind run_trial and the process-isolated trial.
+  /// With a snapshot, only the post-injection suffix executes (prefix
+  /// replayed from the recording); may throw mpi::ReplayError, which
+  /// run_trial converts into a from-scratch fallback. `cut` goes to the
+  /// injector (Injector::set_cut_hook).
   inject::TrialForensics execute_trial(
       const InjectionPoint& point, std::uint64_t trial,
       const std::vector<std::uint64_t>& step_budget,
-      std::shared_ptr<const mpi::WorldSnapshot> snapshot);
+      std::shared_ptr<const mpi::WorldSnapshot> snapshot,
+      inject::Injector::CutHook cut = {});
 
   /// One fault-free, uninstrumented recording run, digest-checked against
   /// the profiling run. Returns nullptr on any failure — the cut table

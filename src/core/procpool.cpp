@@ -2,6 +2,7 @@
 
 #include <csignal>
 #include <cstring>
+#include <utility>
 
 #include <errno.h>
 #include <poll.h>
@@ -58,6 +59,7 @@ class ByteWriter {
     u32(static_cast<std::uint32_t>(s.size()));
     buf_.append(s);
   }
+  void raw(const std::string& s) { buf_.append(s); }
   const std::string& bytes() const { return buf_; }
 
  private:
@@ -294,7 +296,15 @@ bool decode_reply(ByteReader& r, procpool::TrialReply& reply) {
   return true;
 }
 
-/// Consolidated server → supervisor frame kinds.
+/// True when `a` and `b` are trials of the same point: every field but
+/// the trial ordinal agrees. Such items share their fault-free prefix.
+bool same_point(const procpool::WorkItem& a, const procpool::WorkItem& b) {
+  return a.site_id == b.site_id && a.rank == b.rank &&
+         a.invocation == b.invocation && a.param == b.param &&
+         a.fault == b.fault && a.step_budget == b.step_budget;
+}
+
+/// Consolidated reply kinds (server → supervisor, cut holder → server).
 enum class ReplyKind : std::uint8_t {
   Completed = 0,    ///< child exited 0 with a TrialReply
   SignalDeath = 1,  ///< child killed by a signal
@@ -302,87 +312,209 @@ enum class ReplyKind : std::uint8_t {
   ServeError = 3,   ///< server-side failure (fork/pipe), trial not run
 };
 
+/// The first byte of every frame a trial process writes to its parent.
+enum class Report : std::uint8_t {
+  Final = 0,  ///< the process's own TrialReply; it exits right after
+  Held = 1,   ///< a cut holder's consolidated reply for one trial child
+};
+
+/// Where a trial process reports, and (while it may still become a cut
+/// holder) where its server routes further trials of its point. A trial
+/// process is single-threaded, so plain process-wide state is enough.
+struct TrialProcess {
+  int report_fd = -1;
+  int cut_fd = -1;  ///< >= 0 only before the cut, in the server's child
+};
+TrialProcess g_trial;
+
+void serve_error(ByteWriter& out, const char* what) {
+  out.u8(static_cast<std::uint8_t>(ReplyKind::ServeError));
+  out.str(std::string(what) + std::strerror(errno));
+}
+
+/// Reaps trial process `pid` and appends its consolidated reply to `out`:
+/// the TrialReply it wrote (`reply`, null if none) when it then exited
+/// cleanly, else what its wait4 status and rusage say happened.
+void consolidate(ByteWriter& out, pid_t pid, const std::string* reply) {
+  int status = 0;
+  struct rusage ru{};
+  while (::wait4(pid, &status, 0, &ru) < 0 && errno == EINTR) {}
+  if (WIFSIGNALED(status)) {
+    out.u8(static_cast<std::uint8_t>(ReplyKind::SignalDeath));
+    out.u32(static_cast<std::uint32_t>(WTERMSIG(status)));
+    out.u64(static_cast<std::uint64_t>(ru.ru_utime.tv_sec) * 1'000'000 +
+            static_cast<std::uint64_t>(ru.ru_utime.tv_usec));
+    out.u64(static_cast<std::uint64_t>(ru.ru_stime.tv_sec) * 1'000'000 +
+            static_cast<std::uint64_t>(ru.ru_stime.tv_usec));
+    out.u64(static_cast<std::uint64_t>(ru.ru_maxrss));
+  } else if (reply != nullptr && WIFEXITED(status) &&
+             WEXITSTATUS(status) == 0) {
+    // Forward the child's reply verbatim inside the consolidated frame.
+    out.u8(static_cast<std::uint8_t>(ReplyKind::Completed));
+    out.raw(*reply);
+  } else {
+    out.u8(static_cast<std::uint8_t>(ReplyKind::BadExit));
+    out.u32(static_cast<std::uint32_t>(
+        WIFEXITED(status) ? WEXITSTATUS(status) : -1));
+  }
+}
+
+/// Reads one report frame of a trial process: false on EOF (it died or
+/// exited without reporting). `body` is the frame without its Report byte.
+bool read_report(int fd, Report& kind, std::string& body) {
+  std::string frame;
+  if (!read_frame(fd, frame) || frame.empty()) return false;
+  kind = static_cast<Report>(frame[0]);
+  body.assign(frame, 1);
+  return true;
+}
+
+/// Body of every trial process the server forks: runs the trial and
+/// reports its reply. In a trial child forked at the cut, fn returns here
+/// too, with g_trial pointing at the holder.
+[[noreturn]] void run_trial_process(const procpool::TrialFn& fn,
+                                    const procpool::WorkItem& item) {
+  // A trial process exists to die of the signal its trial raises: a
+  // handler inherited from the runtime (a sanitizer's) would turn that
+  // death into an exit.
+  for (const int signo : {SIGSEGV, SIGBUS, SIGFPE, SIGILL, SIGABRT}) {
+    std::signal(signo, SIG_DFL);
+  }
+  const procpool::TrialReply reply = fn(item);
+  ByteWriter out;
+  out.u8(static_cast<std::uint8_t>(Report::Final));
+  out.raw(encode_reply(reply));
+  // _Exit, not exit: the supervisor's journal fd and stdio buffers are
+  // duplicated here and must never see a write or flush from this process.
+  write_frame(g_trial.report_fd, out.bytes());
+  std::_Exit(0);
+}
+
 // ---------------------------------------------------------------------------
-// The fork-server: single-threaded after fork, one fresh child per trial.
+// The fork-server: single-threaded after fork. Per point it forks one
+// trial process, which runs from scratch or becomes the point's cut
+// holder; each further trial of that point goes to the holder.
 // ---------------------------------------------------------------------------
 
+/// The server's current trial process: a candidate until its first Held
+/// report, the holder of `point`'s cut after it.
+struct Holder {
+  pid_t pid = -1;
+  int to = -1;    ///< server → holder: trial ordinals of `point`
+  int from = -1;  ///< holder → server: reports
+  bool holding = false;
+  procpool::WorkItem point;
+};
+
+void close_holder(Holder& holder) {
+  ::close(holder.to);
+  ::close(holder.from);
+  holder = Holder{};
+}
+
+/// Ends the holder: EOF on its trial pipe makes it exit, then reap it.
+void end_holder(Holder& holder) {
+  if (holder.pid <= 0) return;
+  const pid_t pid = holder.pid;
+  close_holder(holder);
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {}
+}
+
+bool send_trial(int fd, std::uint64_t trial) {
+  ByteWriter w;
+  w.u64(trial);
+  return write_frame(fd, w.bytes());
+}
+
+/// Forks the trial process for `item` into `holder`; on failure writes a
+/// ServeError into `out` and returns false.
+bool start_trial_process(Holder& holder, const procpool::WorkItem& item,
+                         int cmd_fd, int result_fd,
+                         const procpool::TrialFn& fn, ByteWriter& out) {
+  int up[2] = {-1, -1};
+  int down[2] = {-1, -1};
+  if (::pipe(up) != 0) {
+    serve_error(out, "fork-server: pipe failed: ");
+    return false;
+  }
+  if (::pipe(down) != 0) {
+    serve_error(out, "fork-server: pipe failed: ");
+    ::close(up[0]);
+    ::close(up[1]);
+    return false;
+  }
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(cmd_fd);
+    ::close(result_fd);
+    ::close(up[0]);
+    ::close(down[1]);
+    g_trial = TrialProcess{up[1], down[0]};
+    run_trial_process(fn, item);
+  }
+  if (pid < 0) serve_error(out, "fork-server: fork failed: ");
+  ::close(up[1]);
+  ::close(down[0]);
+  if (pid < 0) {
+    ::close(up[0]);
+    ::close(down[1]);
+    return false;
+  }
+  holder = Holder{pid, down[1], up[0], false, item};
+  return true;
+}
+
 [[noreturn]] void serve(int cmd_fd, int result_fd, const procpool::TrialFn& fn) {
+  Holder holder;
   for (;;) {
     std::string frame;
-    if (!read_frame(cmd_fd, frame)) std::_Exit(0);  // supervisor closed
+    if (!read_frame(cmd_fd, frame)) {  // supervisor closed
+      end_holder(holder);
+      std::_Exit(0);
+    }
     procpool::WorkItem item;
     std::uint64_t seq = 0;
     if (!decode_work(frame, item, seq)) std::_Exit(3);
 
     ByteWriter out;
     out.u64(seq);
-
-    int trial_pipe[2] = {-1, -1};
-    if (::pipe(trial_pipe) != 0) {
-      out.u8(static_cast<std::uint8_t>(ReplyKind::ServeError));
-      out.str(std::string("fork-server: pipe failed: ") +
-              std::strerror(errno));
+    // Another point's holder is of no further use; a holder that cannot
+    // take the trial is gone.
+    if (holder.pid > 0 && !(same_point(holder.point, item) &&
+                            send_trial(holder.to, item.trial))) {
+      end_holder(holder);
+    }
+    if (holder.pid <= 0 &&
+        !start_trial_process(holder, item, cmd_fd, result_fd, fn, out)) {
       if (!write_frame(result_fd, out.bytes())) std::_Exit(0);
       continue;
     }
 
-    const pid_t child = ::fork();
-    if (child == 0) {
-      // Trial child: run exactly one trial, write the reply, and _exit
-      // without flushing inherited stdio buffers or running static
-      // destructors — the supervisor's journal fd and buffers are
-      // duplicated here and must never see a write from this process.
-      ::close(cmd_fd);
-      ::close(result_fd);
-      ::close(trial_pipe[0]);
-      procpool::TrialReply reply;
-      reply.ok = false;
-      reply.error = "trial function did not run";
-      reply = fn(item);
-      write_frame(trial_pipe[1], encode_reply(reply));
-      std::_Exit(0);
-    }
-    if (child < 0) {
-      ::close(trial_pipe[0]);
-      ::close(trial_pipe[1]);
+    // A wedged process never reports and never exits; this read then
+    // blocks until the supervisor's lease expires and SIGKILLs the whole
+    // lane process group (server, holder, child).
+    Report kind = Report::Final;
+    std::string body;
+    const bool got = read_report(holder.from, kind, body);
+    if (got && kind == Report::Held) {
+      holder.holding = true;
+      out.u8(1);  // from the cut
+      out.raw(body);
+    } else if (holder.holding) {
+      // The holder itself died between trials: the trial never ran, a
+      // harness condition the campaign's retry guard handles.
+      end_holder(holder);
+      out.u8(0);
       out.u8(static_cast<std::uint8_t>(ReplyKind::ServeError));
-      out.str(std::string("fork-server: fork failed: ") +
-              std::strerror(errno));
-      if (!write_frame(result_fd, out.bytes())) std::_Exit(0);
-      continue;
-    }
-    ::close(trial_pipe[1]);
-
-    // A wedged child never writes and never exits; this read then blocks
-    // until the supervisor's lease expires and SIGKILLs the whole lane
-    // process group (server + child).
-    std::string child_frame;
-    const bool got_reply = read_frame(trial_pipe[0], child_frame);
-    ::close(trial_pipe[0]);
-
-    int status = 0;
-    struct rusage ru{};
-    while (::wait4(child, &status, 0, &ru) < 0 && errno == EINTR) {}
-
-    if (WIFSIGNALED(status)) {
-      out.u8(static_cast<std::uint8_t>(ReplyKind::SignalDeath));
-      out.u32(static_cast<std::uint32_t>(WTERMSIG(status)));
-      out.u64(static_cast<std::uint64_t>(ru.ru_utime.tv_sec) * 1'000'000 +
-              static_cast<std::uint64_t>(ru.ru_utime.tv_usec));
-      out.u64(static_cast<std::uint64_t>(ru.ru_stime.tv_sec) * 1'000'000 +
-              static_cast<std::uint64_t>(ru.ru_stime.tv_usec));
-      out.u64(static_cast<std::uint64_t>(ru.ru_maxrss));
-    } else if (got_reply && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-      // Forward the child's reply verbatim inside the consolidated frame.
-      out.u8(static_cast<std::uint8_t>(ReplyKind::Completed));
-      std::string merged = out.bytes();
-      merged += child_frame;
-      if (!write_frame(result_fd, merged)) std::_Exit(0);
-      continue;
+      out.str("cut holder died before running the trial");
     } else {
-      out.u8(static_cast<std::uint8_t>(ReplyKind::BadExit));
-      out.u32(static_cast<std::uint32_t>(
-          WIFEXITED(status) ? WEXITSTATUS(status) : -1));
+      // The trial process ran to its end without reaching a cut: it is an
+      // ordinary from-scratch trial child.
+      out.u8(0);
+      consolidate(out, holder.pid,
+                  got && kind == Report::Final ? &body : nullptr);
+      close_holder(holder);
     }
     if (!write_frame(result_fd, out.bytes())) std::_Exit(0);
   }
@@ -412,6 +544,49 @@ std::string signal_name(int signo) {
 }
 
 }  // namespace
+
+namespace procpool {
+
+std::uint64_t hold_at_cut(std::uint64_t trial) {
+  if (g_trial.cut_fd < 0) return trial;
+  const int server_fd = g_trial.report_fd;
+  const int cut_fd = std::exchange(g_trial.cut_fd, -1);
+  for (;;) {
+    ByteWriter out;
+    out.u8(static_cast<std::uint8_t>(Report::Held));
+    int report[2] = {-1, -1};
+    if (::pipe(report) != 0) {
+      serve_error(out, "cut holder: pipe failed: ");
+    } else {
+      const pid_t child = ::fork();
+      if (child == 0) {
+        // The trial child: back into the world at the cut, as `trial`.
+        ::close(server_fd);
+        ::close(cut_fd);
+        ::close(report[0]);
+        g_trial.report_fd = report[1];
+        return trial;
+      }
+      if (child < 0) serve_error(out, "cut holder: fork failed: ");
+      ::close(report[1]);
+      if (child > 0) {
+        Report kind = Report::Final;
+        std::string body;
+        const bool got = read_report(report[0], kind, body);
+        consolidate(out, child,
+                    got && kind == Report::Final ? &body : nullptr);
+      }
+      ::close(report[0]);
+    }
+    if (!write_frame(server_fd, out.bytes())) std::_Exit(0);
+    std::string frame;
+    if (!read_frame(cut_fd, frame)) std::_Exit(0);  // the server ended it
+    ByteReader reader(frame);
+    if (!reader.u64(trial) || !reader.done()) std::_Exit(3);
+  }
+}
+
+}  // namespace procpool
 
 ProcPool::ProcPool(Options options, procpool::TrialFn fn)
     : options_(options), fn_(std::move(fn)) {
@@ -519,6 +694,8 @@ bool ProcPool::spawn_locked(Lane& lane, bool is_respawn) {
   lane.cmd_fd = cmd[1];
   lane.result_fd = res[0];
   lane.seq = 0;
+  lane.point.reset();
+  lane.last_use = 0;
   ++stats_.servers_spawned;
   if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
     static auto& spawns = rec.counter(
@@ -539,13 +716,26 @@ void ProcPool::kill_lane_locked(Lane& lane) {
   if (lane.result_fd >= 0) ::close(lane.result_fd);
   lane.pid = 0;
   lane.cmd_fd = lane.result_fd = -1;
+  lane.point.reset();
+  lane.last_use = 0;
 }
 
-std::size_t ProcPool::acquire_lane() {
+std::size_t ProcPool::acquire_lane(const procpool::WorkItem& item) {
   std::unique_lock<std::mutex> lock(mutex_);
   lane_available_.wait(lock, [this] { return !free_.empty(); });
-  const std::size_t index = free_.back();
-  free_.pop_back();
+  // The lane whose server may hold this item's cut; else the one whose
+  // holder has been idle longest (lanes without one come first).
+  auto pick = free_.begin();
+  for (auto it = free_.begin(); it != free_.end(); ++it) {
+    const Lane& lane = lanes_[*it];
+    if (lane.point && same_point(*lane.point, item)) {
+      pick = it;
+      break;
+    }
+    if (lane.last_use < lanes_[*pick].last_use) pick = it;
+  }
+  const std::size_t index = *pick;
+  free_.erase(pick);
   return index;
 }
 
@@ -579,7 +769,7 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
                                std::chrono::milliseconds lease) {
   tel::ScopedSpan span("worker-dispatch");
   Result result;
-  const std::size_t index = acquire_lane();
+  const std::size_t index = acquire_lane(item);
   struct Release {
     ProcPool& pool;
     std::size_t index;
@@ -602,6 +792,8 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
     }
     ++stats_.trials_dispatched;
     seq = ++lane.seq;
+    lane.point = item;
+    lane.last_use = ++uses_;
     cmd_fd = lane.cmd_fd;
     result_fd = lane.result_fd;
   }
@@ -653,8 +845,10 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
 
   ByteReader reader(frame);
   std::uint64_t got_seq = 0;
+  std::uint8_t from_cut = 0;
   std::uint8_t kind_raw = 0;
-  bool parsed = reader.u64(got_seq) && reader.u8(kind_raw);
+  bool parsed =
+      reader.u64(got_seq) && reader.u8(from_cut) && reader.u8(kind_raw);
   if (!parsed || got_seq != seq) {
     std::lock_guard<std::mutex> lock(mutex_);
     kill_lane_locked(lanes_[index]);
@@ -662,6 +856,20 @@ ProcPool::Result ProcPool::run(const procpool::WorkItem& item,
     result.kind = Result::Kind::LaneFailure;
     result.error = "fork-server protocol error (bad frame); lane killed";
     return result;
+  }
+  if (from_cut != 0 &&
+      static_cast<ReplyKind>(kind_raw) != ReplyKind::ServeError) {
+    result.from_cut = true;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.cut_forks;
+    }
+    if (auto& rec = tel::Recorder::instance(); rec.enabled()) {
+      static auto& cut_forks = rec.counter(
+          "fastfit_cut_forks_total",
+          "Process-isolated trials forked at their cut (prefix skipped)");
+      cut_forks.add();
+    }
   }
   switch (static_cast<ReplyKind>(kind_raw)) {
     case ReplyKind::Completed: {

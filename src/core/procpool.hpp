@@ -7,21 +7,35 @@
 // campaign. ProcPool makes real crashes classifiable: the supervisor
 // pre-forks one warm fork-server per lane, ships each (point, spec,
 // trial) work item over a length-prefixed pipe, and the server forks a
-// fresh single-use child per trial. The child executes the trial and
-// writes its serialized result back; the server consolidates that result
-// with the child's waitpid status + rusage into exactly one reply frame.
+// single-use trial child per trial. The child executes the trial and
+// writes its serialized result back; its parent consolidates that result
+// with the child's wait4 status + rusage into exactly one reply frame.
 //
-//   supervisor ──cmd pipe──▶ fork-server ──fork──▶ trial child
-//       ▲                        │  ▲                  │
-//       └──────result pipe───────┘  └───trial pipe─────┘
+// Fork at the cut: the process a server forks for a point runs the
+// fault-free world up to the point's exact-point trigger. There
+// (procpool::hold_at_cut) it becomes the point's *cut holder*: it forks
+// one trial child per trial of the point routed to its lane, so every
+// child runs only the suffix. The server forwards further work items for
+// the same point to the holder and ends it when another point arrives.
+//
+//   supervisor ──cmd──▶ fork-server ──fork──▶ cut holder ──fork──▶ trial child
+//       ▲                  │  ▲                 │  ▲                 │
+//       └─────result───────┘  └────report───────┘  └─────report──────┘
+//
+// A trial whose cut is never reached (no exact-point trigger, no hook,
+// or a world that ends first) reports from that first process itself,
+// which is then an ordinary from-scratch trial child.
 //
 // Death taxonomy (docs/process_isolation.md):
-//   * child killed by SIGSEGV/SIGBUS/SIGFPE/SIGABRT → SignalDeath, a
-//     *datum* (the campaign classifies it SEG_FAULT with the signal
+//   * trial child killed by SIGSEGV/SIGBUS/SIGFPE/SIGABRT → SignalDeath,
+//     a *datum* (the campaign classifies it SEG_FAULT with the signal
 //     number and rusage in the forensic field);
-//   * child (or server) wedged past the lease deadline → the whole lane
-//     process group is SIGKILLed → LeaseExpired (the campaign routes it
-//     through the existing retry-with-quarantine guard);
+//   * a cut holder that dies between trials → a contained error (the
+//     campaign's retry guard reruns the trial from a fresh process);
+//   * anything wedged past the lease deadline → the whole lane process
+//     group (server, holder, child) is SIGKILLed → LeaseExpired (the
+//     campaign routes it through the existing retry-with-quarantine
+//     guard);
 //   * server death / protocol corruption → LaneFailure; the lane is
 //     respawned on next use until the respawn budget runs out, after
 //     which the pool reports degraded() and the campaign falls back to
@@ -35,6 +49,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,6 +101,16 @@ struct TrialReply {
 /// contained failure is reported through TrialReply::error.
 using TrialFn = std::function<TrialReply(const WorkItem&)>;
 
+/// Fork at the cut. Call it inside a TrialFn, at the end of the trial's
+/// fault-free prefix (the injector's exact-point trigger, before the fault
+/// manifests). In the first process the server forked for a point, it
+/// turns that process into the point's cut holder: the holder forks one
+/// trial child for `trial` and one for every further trial of the point
+/// the server routes to it, and never returns itself. In each child it
+/// returns the trial that child runs. Anywhere else (a trial child, a
+/// process outside the pool) it returns `trial` unchanged.
+std::uint64_t hold_at_cut(std::uint64_t trial);
+
 /// Runs once inside each freshly forked server (e.g. to disable the
 /// telemetry recorder, whose mutexes may have been mid-lock in another
 /// thread of the supervisor at fork time).
@@ -115,6 +140,9 @@ class ProcPool {
       LaneFailure,   ///< server died / protocol error / pool degraded
     };
     Kind kind = Kind::LaneFailure;
+    /// The trial ran in a child its point's cut holder forked, so it
+    /// skipped the fault-free prefix.
+    bool from_cut = false;
     procpool::TrialReply reply;  ///< Completed
     int signal = 0;              ///< SignalDeath
     std::uint64_t user_us = 0;   ///< SignalDeath: rusage user time
@@ -130,6 +158,7 @@ class ProcPool {
     std::uint64_t signal_deaths = 0;
     std::uint64_t lease_kills = 0;
     std::uint64_t lane_failures = 0;
+    std::uint64_t cut_forks = 0;  ///< trials a cut holder's child ran
   };
 
   /// Forks all lane servers eagerly. Call from as quiet a moment as
@@ -142,7 +171,8 @@ class ProcPool {
   ProcPool(const ProcPool&) = delete;
   ProcPool& operator=(const ProcPool&) = delete;
 
-  /// Dispatches one trial to a free lane and waits for its consolidated
+  /// Dispatches one trial to a free lane (one whose server already holds
+  /// the trial's cut, if any is free) and waits for its consolidated
   /// reply, up to `lease`. On lease expiry the lane's process group is
   /// SIGKILLed. Never throws for worker-side conditions — every failure
   /// mode is a Result kind the campaign maps onto its retry ladder.
@@ -165,11 +195,17 @@ class ProcPool {
     int cmd_fd = -1;     ///< supervisor → server work items
     int result_fd = -1;  ///< server → supervisor consolidated replies
     std::uint64_t seq = 0;
+    /// The last item dispatched to this lane: its server may hold that
+    /// point's cut.
+    std::optional<procpool::WorkItem> point;
+    std::uint64_t last_use = 0;  ///< dispatch ordinal of `point`
   };
 
   bool spawn_locked(Lane& lane, bool is_respawn);
   void kill_lane_locked(Lane& lane);
-  std::size_t acquire_lane();
+  /// Waits for a free lane, preferring one whose server may already hold
+  /// `item`'s cut, then the least recently used.
+  std::size_t acquire_lane(const procpool::WorkItem& item);
   void release_lane(std::size_t index);
 
   Options options_;
@@ -179,6 +215,7 @@ class ProcPool {
   std::vector<Lane> lanes_;
   std::vector<std::size_t> free_;
   std::size_t respawns_used_ = 0;
+  std::uint64_t uses_ = 0;  ///< dispatches so far (Lane::last_use clock)
   bool degraded_ = false;
   Stats stats_;
 };

@@ -1,6 +1,7 @@
 #include "inject/injector.hpp"
 
 #include <csignal>
+#include <utility>
 
 #include "inject/corrupt.hpp"
 #include "minimpi/mpi.hpp"
@@ -20,6 +21,12 @@ Injector::Injector(FaultSpec spec, std::uint64_t seed)
     fire_at_ = spec_.fault.window > 0
                    ? trigger_rng_.uniform_u64(0, spec_.fault.window - 1)
                    : 0;
+  }
+}
+
+void Injector::set_cut_hook(CutHook hook) {
+  if (spec_.fault.trigger == FaultTrigger::ExactPoint) {
+    cut_hook_ = std::move(hook);
   }
 }
 
@@ -72,8 +79,11 @@ void Injector::manifest(mpi::CollectiveCall& call, mpi::Mpi& mpi) {
     // disposition kills the entire trial process, which is the point —
     // the fork-server supervisor classifies the death SEG_FAULT. Only
     // reachable under process isolation (Campaign rejects signal models
-    // for the in-process backend at construction).
-    std::raise(signal_number(model));
+    // for the in-process backend at construction). The disposition is
+    // reset first, so no inherited handler (a sanitizer's) intercepts it.
+    const int signo = signal_number(model);
+    std::signal(signo, SIG_DFL);
+    std::raise(signo);
     // raise() returning means something intercepted the signal; that is
     // a harness condition, not a trial outcome.
     throw InternalError(std::string("Injector: ") + to_string(model) +
@@ -92,6 +102,10 @@ void Injector::on_enter(mpi::CollectiveCall& call, mpi::Mpi& mpi) {
   if (mpi.world_rank() != spec_.rank) return;
   if (!trigger_fires(call)) return;
 
+  if (cut_hook_) {
+    spec_.trial = std::exchange(cut_hook_, nullptr)(spec_.trial);
+    trigger_rng_ = RngStream(seed_, "trigger", spec_.stream_index());
+  }
   fired_.store(true);
   manifest(call, mpi);
 }

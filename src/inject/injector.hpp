@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 
 #include "inject/fault_spec.hpp"
 #include "minimpi/hooks.hpp"
@@ -28,6 +29,18 @@ class Injector final : public mpi::ToolHooks {
   /// campaign execution order, and byte-identical to pre-v2 behaviour for
   /// the default exact-point trigger.
   Injector(FaultSpec spec, std::uint64_t seed);
+
+  /// Called once, on the injected rank's fiber, when an exact-point
+  /// trigger fires and before the fault manifests: the end of the trial's
+  /// fault-free prefix, which no trial-dependent state has touched. Gets
+  /// the spec's trial and returns the trial to go on with; the injector
+  /// rebinds its trial-dependent state (spec().trial and the trigger
+  /// stream) to it. Process isolation forks one child per trial here.
+  using CutHook = std::function<std::uint64_t(std::uint64_t trial)>;
+
+  /// Installs the cut hook. Ignored unless the trigger is ExactPoint: any
+  /// other trigger may fire at a trial-dependent call.
+  void set_cut_hook(CutHook hook);
 
   void on_enter(mpi::CollectiveCall& call, mpi::Mpi& mpi) override;
   void on_exit(const mpi::CollectiveCall& call, mpi::Mpi& mpi) override;
@@ -60,6 +73,7 @@ class Injector final : public mpi::ToolHooks {
 
   FaultSpec spec_;
   std::uint64_t seed_;
+  CutHook cut_hook_;
   std::atomic<bool> fired_{false};
   std::atomic<bool> fizzled_{false};
   /// A message-fault manifestation armed by the trigger; consumed by the

@@ -58,7 +58,8 @@ constexpr ConfigKnob kKnobs[] = {
     {"FASTFIT_ISOLATION", "isolation", "thread|process",
      "trial backend: in-process threads or fork-server workers"},
     {"FASTFIT_SNAPSHOTS", "snapshots", "off|auto",
-     "prefix-replay world snapshots (default auto)"},
+     "skip the fault-free prefix: replay it (thread) or fork at the cut "
+     "(process) (default auto)"},
     {"FASTFIT_TRACE", "trace-out", "FILE",
      "Chrome trace-event JSON of the trial lifecycle"},
     {"FASTFIT_METRICS", "metrics-out", "FILE",

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "apps/registry.hpp"
+#include "temp_file.hpp"
 
 namespace fastfit::core {
 namespace {
@@ -150,13 +151,12 @@ TEST(Export, MergeRejectsMixedOutcomeSets) {
 }
 
 TEST(Export, WriteFileRoundTrips) {
-  const std::string path = "/tmp/fastfit_export_test.csv";
+  const testing_support::TempFile path("export_test.csv");
   write_file(path, "hello,world\n");
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(content, "hello,world\n");
-  std::remove(path.c_str());
 }
 
 TEST(Export, WriteFileFailsLoudly) {

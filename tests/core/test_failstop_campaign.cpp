@@ -19,6 +19,7 @@
 #include "inject/fault_model.hpp"
 #include "inject/outcome.hpp"
 #include "telemetry/recorder.hpp"
+#include "temp_file.hpp"
 
 namespace fastfit::core {
 namespace {
@@ -111,9 +112,7 @@ TEST(FailStopCampaign, RankDeathResumesBitIdenticalFromJournal) {
   opts.repair = true;
   const auto expected = run_points(*workload, opts, 4);
 
-  const std::string path =
-      ::testing::TempDir() + "fastfit_failstop_resume.jsonl";
-  std::remove(path.c_str());
+  const testing_support::TempFile path("failstop_resume.jsonl");
   {
     Campaign partial(*workload, opts);
     partial.profile();

@@ -10,6 +10,7 @@
 
 #include "core/journal.hpp"
 #include "support/error.hpp"
+#include "temp_file.hpp"
 
 namespace fastfit::core {
 namespace {
@@ -26,10 +27,8 @@ JournalHeader header() {
   return h;
 }
 
-std::string temp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "fastfit_journal_" + name;
-  std::remove(path.c_str());
-  return path;
+testing_support::TempFile temp_path(const std::string& name) {
+  return testing_support::TempFile("journal_" + name);
 }
 
 void append_raw(const std::string& path, const std::string& bytes) {

@@ -2,9 +2,11 @@
 // and its campaign integration behind --isolation process.
 //
 // Unit tests drive ProcPool directly with synthetic trial functions
-// (echo, contained error, raise(signo), sleep) to pin the wire protocol,
-// the death taxonomy (SignalDeath / LeaseExpired / LaneFailure), lane
-// respawn, and the degradation ladder. Campaign-level tests require the
+// (echo, contained error, raise(signo), sleep, a synthetic cut) to pin the
+// wire protocol, the death taxonomy (SignalDeath / LeaseExpired /
+// LaneFailure), lane respawn, the degradation ladder, and the cut
+// holder's life cycle. The CutForkParity suite requires fork at the cut
+// to equal --snapshots off on every point of five workloads. Campaign-level tests require the
 // process backend to be byte-identical to the thread backend for
 // non-signal fault models (serial, pooled, and journal resume) and to
 // classify genuine worker signal deaths as SEG_FAULT — with the signal
@@ -24,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <signal.h>
@@ -34,6 +37,8 @@
 #include "core/procpool.hpp"
 #include "inject/fault_model.hpp"
 #include "inject/outcome.hpp"
+#include "telemetry/recorder.hpp"
+#include "temp_file.hpp"
 
 namespace fastfit::core {
 namespace {
@@ -325,8 +330,7 @@ TEST(CrashResume, ProcessBackendResumesBitIdentical) {
   const auto expected =
       run_points(*workload, isolation_options(IsolationMode::Thread), 4);
 
-  const std::string path = ::testing::TempDir() + "fastfit_procpool_resume.jsonl";
-  std::remove(path.c_str());
+  const testing_support::TempFile path("procpool_resume.jsonl");
   {
     Campaign partial(*workload, opts);
     partial.profile();
@@ -378,9 +382,7 @@ TEST(SignalMatrix, JournalCarriesSignalForensics) {
   auto opts = isolation_options(IsolationMode::Process);
   opts.fault_models = {inject::FaultModelSpec::parse("sigsegv")};
 
-  const std::string path =
-      ::testing::TempDir() + "fastfit_signal_forensics.jsonl";
-  std::remove(path.c_str());
+  const testing_support::TempFile path("signal_forensics.jsonl");
   {
     Campaign campaign(*workload, opts);
     campaign.profile();
@@ -408,6 +410,303 @@ TEST(SignalMatrix, SignalModelsRequireProcessIsolation) {
   auto opts = isolation_options(IsolationMode::Thread);
   opts.fault_models = {inject::FaultModelSpec::parse("sigsegv")};
   EXPECT_THROW(Campaign c(*workload, opts), ConfigError);
+}
+
+// ---------------------------------------------------------------------------
+// Fork at the cut: the process a server forks for a point runs the prefix
+// once, holds it at the cut, and forks one child per trial of the point.
+// ---------------------------------------------------------------------------
+
+/// A trial function with a synthetic cut that items of invocation 0 reach
+/// and others do not. The reply's autopsy is "<parent pid> <trial>": the
+/// parent is the cut holder for a child forked at the cut, the server
+/// otherwise. Trial 999 writes "<pid> <parent pid>" to `pid_file` and then
+/// sleeps past any lease.
+procpool::TrialFn cut_trial_fn(const std::string& pid_file = "") {
+  return [pid_file](const WorkItem& item) {
+    std::uint64_t trial = item.trial;
+    if (item.invocation == 0) trial = procpool::hold_at_cut(trial);
+    if (trial == 999) {
+      std::ofstream(pid_file) << ::getpid() << ' ' << ::getppid() << '\n';
+      std::this_thread::sleep_for(std::chrono::seconds(60));
+    }
+    TrialReply reply;
+    reply.ok = true;
+    reply.outcome = inject::Outcome::Success;
+    reply.autopsy = std::to_string(::getppid()) + ' ' + std::to_string(trial);
+    return reply;
+  };
+}
+
+WorkItem cut_item(std::uint32_t site, std::uint64_t trial,
+                  std::uint64_t invocation = 0) {
+  WorkItem item = sample_item();
+  item.site_id = site;
+  item.trial = trial;
+  item.invocation = invocation;
+  return item;
+}
+
+struct CutReply {
+  bool from_cut = false;
+  int parent = 0;
+  std::uint64_t trial = 0;
+};
+
+CutReply run_cut(ProcPool& pool, const WorkItem& item) {
+  const auto result = pool.run(item, std::chrono::seconds(30));
+  EXPECT_EQ(result.kind, ProcPool::Result::Kind::Completed) << result.error;
+  CutReply reply;
+  reply.from_cut = result.from_cut;
+  std::istringstream(result.reply.autopsy) >> reply.parent >> reply.trial;
+  return reply;
+}
+
+/// True once `pid` is dead: gone, or a zombie its new parent has not
+/// reaped yet. Waits up to 5 s for a SIGKILL to land.
+bool process_gone(int pid) {
+  for (int i = 0; i < 500; ++i) {
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string line;
+    if (!std::getline(stat, line)) return true;
+    const auto name_end = line.rfind(')');
+    if (name_end != std::string::npos && name_end + 2 < line.size() &&
+        line[name_end + 2] == 'Z') {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+std::pair<int, int> read_pids(const std::string& path) {
+  std::pair<int, int> pids{0, 0};
+  std::ifstream(path) >> pids.first >> pids.second;
+  return pids;
+}
+
+TEST(ProcPool, CutHolderServesItsPointAndSwitchesMidBatch) {
+  ProcPool::Options opts;
+  opts.lanes = 1;
+  ProcPool pool(opts, cut_trial_fn());
+  const int server = pool.server_pids().at(0);
+
+  const auto a0 = run_cut(pool, cut_item(1, 0));
+  EXPECT_TRUE(a0.from_cut);
+  EXPECT_NE(a0.parent, server);  // forked by the holder, not the server
+  EXPECT_EQ(a0.trial, 0u);
+  const auto a5 = run_cut(pool, cut_item(1, 5));
+  EXPECT_TRUE(a5.from_cut);
+  EXPECT_EQ(a5.parent, a0.parent);  // the same holder, prefix not rerun
+  EXPECT_EQ(a5.trial, 5u);
+
+  // Another point: the server ends and reaps the first point's holder.
+  const auto b3 = run_cut(pool, cut_item(2, 3));
+  EXPECT_TRUE(b3.from_cut);
+  EXPECT_NE(b3.parent, a0.parent);
+  EXPECT_EQ(b3.trial, 3u);
+  EXPECT_TRUE(process_gone(a0.parent));
+
+  // Back to the first point: a fresh holder.
+  const auto a7 = run_cut(pool, cut_item(1, 7));
+  EXPECT_TRUE(a7.from_cut);
+  EXPECT_NE(a7.parent, b3.parent);
+  EXPECT_EQ(a7.trial, 7u);
+
+  EXPECT_EQ(pool.stats().cut_forks, 4u);
+  EXPECT_EQ(pool.stats().trials_dispatched, 4u);
+  EXPECT_EQ(pool.stats().respawns, 0u);
+}
+
+TEST(ProcPool, RunPrefersTheLaneHoldingThePoint) {
+  ProcPool::Options opts;
+  opts.lanes = 2;
+  ProcPool pool(opts, cut_trial_fn());
+  const auto a = run_cut(pool, cut_item(1, 0));
+  const auto b = run_cut(pool, cut_item(2, 0));
+  EXPECT_NE(a.parent, b.parent);  // B took the idle lane
+  for (std::uint64_t trial = 1; trial < 4; ++trial) {
+    EXPECT_EQ(run_cut(pool, cut_item(1, trial)).parent, a.parent);
+    EXPECT_EQ(run_cut(pool, cut_item(2, trial)).parent, b.parent);
+  }
+  EXPECT_EQ(pool.stats().cut_forks, 8u);
+}
+
+TEST(ProcPool, PointWhoseCutIsNeverReachedRunsFromScratch) {
+  ProcPool::Options opts;
+  opts.lanes = 1;
+  ProcPool pool(opts, cut_trial_fn());
+  const int server = pool.server_pids().at(0);
+  for (std::uint64_t trial = 0; trial < 3; ++trial) {
+    const auto reply = run_cut(pool, cut_item(1, trial, /*invocation=*/1));
+    EXPECT_FALSE(reply.from_cut);
+    EXPECT_EQ(reply.parent, server);
+    EXPECT_EQ(reply.trial, trial);
+  }
+  EXPECT_EQ(pool.stats().cut_forks, 0u);
+}
+
+TEST(ProcPool, LeaseKillsTheCutHolderAndItsChildTogether) {
+  const testing_support::TempFile pid_file("cut_lease_pids");
+  ProcPool::Options opts;
+  opts.lanes = 1;
+  opts.respawn_budget = 2;
+  ProcPool pool(opts, cut_trial_fn(pid_file));
+  ASSERT_TRUE(run_cut(pool, cut_item(1, 0)).from_cut);
+
+  // Trial 999 goes to the holder, whose child sleeps past the lease.
+  const auto expired =
+      pool.run(cut_item(1, 999), std::chrono::milliseconds(300));
+  ASSERT_EQ(expired.kind, ProcPool::Result::Kind::LeaseExpired);
+  const auto [child, holder] = read_pids(pid_file);
+  ASSERT_GT(child, 0);
+  ASSERT_GT(holder, 0);
+  EXPECT_TRUE(process_gone(child));
+  EXPECT_TRUE(process_gone(holder));
+
+  const auto after = run_cut(pool, cut_item(1, 1));
+  EXPECT_TRUE(after.from_cut);
+  EXPECT_EQ(after.trial, 1u);
+  EXPECT_EQ(pool.stats().lease_kills, 1u);
+  EXPECT_EQ(pool.stats().respawns, 1u);
+}
+
+TEST(ProcPool, ServerKilledWhileHoldingACutIsLaneFailureThenRecovers) {
+  const testing_support::TempFile pid_file("cut_server_kill_pids");
+  ProcPool::Options opts;
+  opts.lanes = 1;
+  opts.respawn_budget = 2;
+  ProcPool pool(opts, cut_trial_fn(pid_file));
+  ASSERT_TRUE(run_cut(pool, cut_item(1, 0)).from_cut);
+
+  std::thread killer([pid = pool.server_pids().at(0)] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    ::kill(pid, SIGKILL);
+  });
+  const auto lost = pool.run(cut_item(1, 999), std::chrono::seconds(30));
+  killer.join();
+  ASSERT_EQ(lost.kind, ProcPool::Result::Kind::LaneFailure);
+  EXPECT_EQ(pool.stats().lane_failures, 1u);
+  const auto [child, holder] = read_pids(pid_file);
+  EXPECT_TRUE(process_gone(child));
+  EXPECT_TRUE(process_gone(holder));
+
+  const auto after = run_cut(pool, cut_item(1, 2));
+  EXPECT_TRUE(after.from_cut);
+  EXPECT_EQ(after.trial, 2u);
+  EXPECT_EQ(pool.stats().respawns, 1u);
+}
+
+// Campaign level: process isolation forks at the cut unless snapshots are
+// off, and the two give the same outcomes and autopsies on every point.
+
+struct CutStudy {
+  std::vector<PointResult> results;
+  /// Journal trial records, with the rusage of signal deaths cut off (it
+  /// varies run to run; the signal does not).
+  std::vector<std::string> journal;
+  std::uint64_t cut_forks = 0;
+};
+
+CutStudy run_every_point(const apps::Workload& workload,
+                         const CampaignOptions& opts,
+                         std::span<const InjectionPoint> only = {}) {
+  auto& rec = telemetry::Recorder::instance();
+  rec.enable();
+  rec.reset();
+  const testing_support::TempFile journal("cut_fork_parity.jsonl");
+  CutStudy study;
+  {
+    Campaign campaign(workload, opts);
+    campaign.profile();
+    campaign.attach_journal(journal, JournalMode::Create);
+    study.results = campaign.measure_many(
+        only.empty() ? std::span<const InjectionPoint>(
+                           campaign.enumeration().points)
+                     : only,
+        opts.trials_per_point);
+    EXPECT_TRUE(campaign.health().clean());
+    campaign.detach_journal();
+  }
+  study.cut_forks = rec.metrics().counter_value("fastfit_cut_forks_total");
+  rec.reset();
+  rec.disable();
+  std::ifstream in(journal.path());
+  std::string line;
+  std::getline(in, line);  // the header
+  while (std::getline(in, line)) {
+    study.journal.push_back(line.substr(0, line.find("; rusage:")));
+  }
+  return study;
+}
+
+CampaignOptions cut_options(const char* fault_models) {
+  CampaignOptions opts;
+  opts.nranks = 8;
+  opts.trials_per_point = 3;
+  opts.seed = 20261020;
+  opts.max_parallel_trials = 2;
+  opts.isolation = IsolationMode::Process;
+  opts.fault_models = inject::parse_fault_models(fault_models);
+  return opts;
+}
+
+void expect_cut_parity(const char* workload_name, const char* fault_models) {
+  const auto workload = apps::make_workload(workload_name);
+  const std::string label =
+      std::string(workload_name) + " " + fault_models;
+  auto off_opts = cut_options(fault_models);
+  off_opts.snapshots = SnapshotMode::Off;
+  const auto off = run_every_point(*workload, off_opts);
+  const auto cut = run_every_point(*workload, cut_options(fault_models));
+  expect_same_counts(off.results, cut.results, label);
+  EXPECT_EQ(off.journal, cut.journal) << label;
+  EXPECT_EQ(off.cut_forks, 0u) << label;
+  // Every point is an exact-point fault whose cut the world reaches.
+  std::uint64_t trials = 0;
+  for (const auto& r : cut.results) trials += r.trials;
+  EXPECT_EQ(cut.cut_forks, trials) << label;
+}
+
+constexpr const char* kEveryModel =
+    "single-bit-flip,message-drop,message-corrupt,rank-death,sigsegv";
+
+TEST(CutForkParity, LuEveryPointEveryModel) {
+  expect_cut_parity("LU", kEveryModel);
+}
+
+TEST(CutForkParity, EpEveryPointEveryModel) {
+  expect_cut_parity("EP", kEveryModel);
+}
+
+// The workloads where thread-mode replay counts different outcomes than
+// from-scratch runs (docs/snapshot.md, "Parity"): the fork does not.
+TEST(CutForkParity, IsEveryPoint) { expect_cut_parity("IS", "single-bit-flip"); }
+TEST(CutForkParity, CgEveryPoint) { expect_cut_parity("CG", "single-bit-flip"); }
+TEST(CutForkParity, MiniMdEveryPoint) {
+  expect_cut_parity("miniMD", "single-bit-flip");
+}
+
+TEST(CutForkParity, UnreachedCutRunsFromScratch) {
+  // An invocation the run never reaches: the trigger never fires, so no
+  // process holds a cut and every trial runs the whole fault-free job.
+  const auto workload = apps::make_workload("LU");
+  const auto opts = cut_options("single-bit-flip");
+  Campaign probe(*workload, opts);
+  probe.profile();
+  InjectionPoint unreached = probe.enumeration().points.at(0);
+  unreached.invocation = 1'000'000;
+  const InjectionPoint points[1] = {unreached};
+
+  auto off_opts = opts;
+  off_opts.snapshots = SnapshotMode::Off;
+  const auto off = run_every_point(*workload, off_opts, points);
+  const auto cut = run_every_point(*workload, opts, points);
+  expect_same_counts(off.results, cut.results, "unreached cut");
+  EXPECT_EQ(cut.results.at(0).counts[static_cast<std::size_t>(
+                inject::Outcome::Success)],
+            opts.trials_per_point);
+  EXPECT_EQ(cut.cut_forks, 0u);
 }
 
 }  // namespace

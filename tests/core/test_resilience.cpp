@@ -25,6 +25,7 @@
 #include "core/campaign.hpp"
 #include "core/scheduler.hpp"
 #include "support/error.hpp"
+#include "temp_file.hpp"
 
 namespace fastfit::core {
 namespace {
@@ -123,10 +124,8 @@ CampaignOptions supervised_options() {
   return opts;
 }
 
-std::string temp_journal(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "fastfit_resilience_" + name;
-  std::remove(path.c_str());
-  return path;
+testing_support::TempFile temp_journal(const std::string& name) {
+  return testing_support::TempFile("resilience_" + name);
 }
 
 // A send-buffer bit flip corrupts data but can never hang a collective,
@@ -618,8 +617,8 @@ TEST(Resilience, SchedulerEmitsReplayedTrialsBeyondAFailure) {
   const auto points = synthetic_points(6);
   const std::uint32_t trials = 8;
   const std::string key = point_key(points[3]);
-  auto journal =
-      TrialJournal::create(temp_journal("replay_beyond_failure"), {});
+  const auto path = temp_journal("replay_beyond_failure");
+  auto journal = TrialJournal::create(path, {});
   journal->record_trial(key, 4, inject::Outcome::InfLoop);
   journal->record_trial(key, 6, inject::Outcome::WrongAns);
   journal->record_trial(point_key(points[1]), 5, inject::Outcome::MpiErr);

@@ -17,6 +17,7 @@
 #include "apps/workload.hpp"
 #include "core/campaign.hpp"
 #include "support/error.hpp"
+#include "temp_file.hpp"
 
 namespace fastfit::core {
 namespace {
@@ -109,9 +110,7 @@ TEST(SnapshotParity, ResumeFromJournalStaysBitIdentical) {
   const auto expected =
       run_study(*workload, base_options(SnapshotMode::Off), 4);
 
-  const std::string path =
-      ::testing::TempDir() + "fastfit_snapshot_parity_resume";
-  std::remove(path.c_str());
+  const testing_support::TempFile path("snapshot_parity_resume");
   {
     Campaign partial(*workload, opts);
     partial.profile();

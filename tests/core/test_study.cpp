@@ -13,6 +13,7 @@
 #include "core/export.hpp"
 #include "core/shard.hpp"
 #include "core/study.hpp"
+#include "temp_file.hpp"
 
 namespace fastfit::core {
 namespace {
@@ -201,9 +202,7 @@ TEST(Journal, HeaderPinsTheShard) {
   // A shard's journal belongs to that shard: resuming it from a
   // different shard of the study must be refused.
   const auto workload = apps::make_workload("EP");
-  const std::string path =
-      testing::TempDir() + "/shard_journal_test.jsonl";
-  std::remove(path.c_str());
+  const testing_support::TempFile path("shard_journal_test.jsonl");
   {
     auto opts = small_study();
     opts.campaign.shard = ShardSpec{1, 2};
@@ -229,7 +228,6 @@ TEST(Journal, HeaderPinsTheShard) {
     const auto result = driver.run();
     EXPECT_GT(result.health.replayed_trials, 0u);
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "inject/outcome.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/recorder.hpp"
+#include "temp_file.hpp"
 
 namespace fastfit::core {
 namespace {
@@ -142,9 +143,7 @@ TEST_F(CampaignTelemetryTest, ReplayedCampaignReportsIdenticalCounterTotals) {
   const auto workload = apps::make_workload("EP");
   auto opts = small_options();
   opts.trials_per_point = 3;
-  const std::string path =
-      ::testing::TempDir() + "fastfit_telemetry_replay.jsonl";
-  std::remove(path.c_str());
+  const testing_support::TempFile path("telemetry_replay.jsonl");
 
   std::array<std::uint64_t, inject::kNumOutcomes> first{};
   {
@@ -196,7 +195,6 @@ TEST_F(CampaignTelemetryTest, ReplayedCampaignReportsIdenticalCounterTotals) {
     EXPECT_EQ(snap.counter_value("fastfit_trials_replayed_total"), total);
     EXPECT_EQ(snap.counter_value("fastfit_trials_executed_total"), 0u);
   }
-  std::remove(path.c_str());
 }
 
 TEST_F(CampaignTelemetryTest, JournalFlushSpansLandOnJournalTrack) {
@@ -205,13 +203,10 @@ TEST_F(CampaignTelemetryTest, JournalFlushSpansLandOnJournalTrack) {
   Campaign campaign(*workload, small_options());
   campaign.profile();
   const auto& points = campaign.enumeration().points;
-  const std::string path =
-      ::testing::TempDir() + "fastfit_telemetry_journal.jsonl";
-  std::remove(path.c_str());
+  const testing_support::TempFile path("telemetry_journal.jsonl");
   campaign.attach_journal(path, JournalMode::Create);
   (void)campaign.measure_many(std::span<const InjectionPoint>(points.data(), 1));
   campaign.detach_journal();
-  std::remove(path.c_str());
 
   bool fsync_span = false;
   for (const auto& event : rec.drain_events()) {

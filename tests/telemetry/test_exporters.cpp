@@ -14,6 +14,7 @@
 #include "json_check.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/recorder.hpp"
+#include "temp_file.hpp"
 
 namespace fastfit::telemetry {
 namespace {
@@ -328,7 +329,7 @@ TEST_F(ExportersTest, MetricsJsonParsesAndMatchesRegistry) {
 }
 
 TEST_F(ExportersTest, WriteTextFileRoundTripsAndFailsCleanly) {
-  const std::string path = ::testing::TempDir() + "fastfit_telemetry_out.txt";
+  const testing_support::TempFile path("telemetry_out.txt");
   EXPECT_TRUE(write_text_file(path, "hello\n"));
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
@@ -336,7 +337,6 @@ TEST_F(ExportersTest, WriteTextFileRoundTripsAndFailsCleanly) {
   const auto n = std::fread(buf, 1, sizeof buf, f);
   std::fclose(f);
   EXPECT_EQ(std::string(buf, n), "hello\n");
-  std::remove(path.c_str());
   EXPECT_FALSE(write_text_file("/nonexistent-dir/x/y", "boom"));
 }
 

@@ -10,6 +10,7 @@
 
 #include "telemetry/progress_meter.hpp"
 #include "telemetry/recorder.hpp"
+#include "temp_file.hpp"
 
 namespace fastfit::telemetry {
 namespace {
@@ -69,9 +70,7 @@ TEST(ProgressMeterThread, PeriodicallyReexportsMetrics) {
   rec.reset();
   rec.counter("fastfit_trials_total", "h", "outcome=\"SUCCESS\"").add(4);
 
-  const std::string path =
-      ::testing::TempDir() + "fastfit_progress_metrics.prom";
-  std::remove(path.c_str());
+  const testing_support::TempFile path("progress_metrics.prom");
   {
     ProgressMeter::Options opts;
     opts.live_line = false;  // no stderr noise from the test
@@ -100,7 +99,6 @@ TEST(ProgressMeterThread, PeriodicallyReexportsMetrics) {
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) contents.append(buf, n);
   std::fclose(f);
-  std::remove(path.c_str());
   EXPECT_NE(
       contents.find("fastfit_trials_total{outcome=\"SUCCESS\"} 4"),
       std::string::npos)

@@ -49,6 +49,7 @@
 // (usage or execution error).
 
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -60,6 +61,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -194,6 +196,30 @@ struct Args {
   bool has(const std::string& key) const { return values.count(key) > 0; }
 };
 
+/// The whole of --`key`'s value (or `fallback`) as a number in [lo, hi].
+/// A value with trailing characters, or out of range, is a ConfigError
+/// rather than the prefix std::atoi or std::atof would read.
+template <class T>
+T number_flag(const Args& args, const std::string& key,
+              const std::string& fallback, T lo, T hi) {
+  const std::string text = args.get(key, fallback);
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !(value >= lo && value <= hi)) {
+    std::ostringstream range;
+    range << '[' << lo << ", " << hi << ']';
+    throw ConfigError("--" + key + ": expected a number in " + range.str() +
+                      ", got '" + text + "'");
+  }
+  return value;
+}
+
+int ranks_flag(const Args& args) {
+  return number_flag(args, "ranks", "16", 1,
+                     std::numeric_limits<int>::max());
+}
+
 /// --repair on|off (also accepts the knob table's 0|1).
 bool parse_repair(const std::string& value) {
   if (value == "on" || value == "1") return true;
@@ -235,7 +261,7 @@ std::vector<std::string> resolve_passes(const Args& args,
 int cmd_profile(const std::string& workload_name, const Args& args) {
   const auto workload = apps::make_workload(workload_name);
   core::StudyOptions options;
-  options.campaign.nranks = std::atoi(args.get("ranks", "16").c_str());
+  options.campaign.nranks = ranks_flag(args);
   options.use_ml = false;
   options.passes = resolve_passes(args, InjectionConfig::from_environment());
   core::StudyDriver driver(*workload, std::move(options));
@@ -301,12 +327,19 @@ int cmd_study(const std::string& workload_name, const Args& args) {
                         "fastfit study enumerates its own points");
     }
   }
+  // The paper's CALL_ID is no knob at all (a call site is a hashed
+  // site_id), so the knob table never reads it; refuse it all the same.
+  if (std::getenv("CALL_ID") != nullptr) {
+    throw ConfigError(
+        "CALL_ID: removed key (a call site is named by its hashed site_id); "
+        "fastfit study enumerates its own points");
+  }
   if (cfg.num_inj > std::numeric_limits<std::uint32_t>::max()) {
     throw ConfigError("--trials: " + std::to_string(cfg.num_inj) +
                       " exceeds the per-point trial limit");
   }
   core::FastFitOptions options;
-  options.campaign.nranks = std::atoi(args.get("ranks", "16").c_str());
+  options.campaign.nranks = ranks_flag(args);
   options.campaign.trials_per_point =
       static_cast<std::uint32_t>(cfg.num_inj);
   options.campaign.seed = cfg.seed;
@@ -314,7 +347,7 @@ int cmd_study(const std::string& workload_name, const Args& args) {
       static_cast<std::size_t>(cfg.parallel_trials);
   options.use_ml = !args.has("no-ml");
   options.ml.accuracy_threshold =
-      std::atof(args.get("threshold", "0.65").c_str());
+      number_flag(args, "threshold", "0.65", 0.0, 1.0);
 
   // Fault-model axis: empty = the default exact-point single bit flip
   // (pre-v2 behaviour, byte for byte).
@@ -574,9 +607,9 @@ int cmd_merge(int argc, char** argv) {
 int cmd_p2p(const std::string& workload_name, const Args& args) {
   const auto workload = apps::make_workload(workload_name);
   core::StudyOptions options;
-  options.campaign.nranks = std::atoi(args.get("ranks", "16").c_str());
-  const auto trials =
-      static_cast<std::uint32_t>(std::atoi(args.get("trials", "8").c_str()));
+  options.campaign.nranks = ranks_flag(args);
+  const auto trials = number_flag<std::uint32_t>(
+      args, "trials", "8", 1, std::numeric_limits<std::uint32_t>::max());
   options.campaign.trials_per_point = trials;
   options.use_ml = false;
 
@@ -618,8 +651,8 @@ int cmd_p2p(const std::string& workload_name, const Args& args) {
     return 0;
   }
   auto points = e.points;
-  const auto cap = static_cast<std::size_t>(
-      std::atoi(args.get("points", "60").c_str()));
+  const auto cap = number_flag<std::size_t>(
+      args, "points", "60", 0, std::numeric_limits<std::size_t>::max());
   if (points.size() > cap) points.resize(cap);
   std::vector<core::P2pPointResult> results;
   for (const auto& point : points) {
